@@ -6,12 +6,18 @@ marginals and headings; only the cross-agent correlation parameters (or
 the relevance head producing them) are free. Keeping the marginals
 pinned isolates the cross-agent structure from regression quality.
 
-Gradients are analytic: for each step, dNLL/dCov = 0.5 (Cov^-1 -
-Cov^-1 S Cov^-1) with S the mean residual outer product, chain-ruled
-through the assembly's sign pattern to the pair correlations and, for
-the relevance head, through cosine similarity, the feature transform and
-attention. The optimizer is Adam (beta1 0.9, beta2 0.999, eps 1e-8),
-fully deterministic given the seed.
+The fit works in the N x N along-heading space. Projected marginals make
+each regularized step covariance delta I + U R U^T with U = Q Sigma, Q the
+agents' orthonormal heading vectors; in the basis [along, lateral] it is
+block-diagonal, A = delta I + Sigma R Sigma on the along-heading
+residuals and delta I on the lateral ones, whose term depends on delta
+only. The dense 2N x 2N joint of ``assemble_joint`` is the reference.
+
+Gradients are analytic: for each step, dNLL/dR = 0.5 Sigma (A^-1 -
+A^-1 S A^-1) Sigma with S the mean along-heading residual outer product,
+chained for the relevance head through cosine similarity, the feature
+transform and attention. The optimizer is Adam (beta1 0.9, beta2 0.999,
+eps 1e-8), fully deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -24,14 +30,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from .gaussian import LOG_TWO_PI, NotPositiveDefiniteError
-from .increments import (
-    IncrementParams,
-    Marginals,
-    _assemble_cov,
-    _diag_blocks,
-    _sign_sigma_interleaved,
-    projected_marginals,
-)
+from .increments import IncrementParams, Marginals, projected_marginals
 from .relevance import RelevanceHead, relevance_backward, relevance_forward_cached
 from .scene import Scene
 from .synthetic import SceneTruth, ScenarioConfig, sample_future_positions
@@ -44,7 +43,11 @@ PARAMETERIZATIONS = ("direct-rho", "relevance-head")
 
 
 class StepFactorizationError(NotPositiveDefiniteError):
-    """A per-step covariance could not be factored during fitting."""
+    """A per-step covariance could not be factored during fitting.
+
+    ``pivot`` indexes the [along-heading, lateral] basis: agents' along
+    components are 0..N-1 and their lateral components N..2N-1.
+    """
 
     def __init__(self, step: int, pivot: int):
         NotPositiveDefiniteError.__init__(self, pivot)
@@ -138,9 +141,12 @@ class FitDataset:
 
     All futures share the current positions, per-step headings and
     increment parameters; only the realized futures differ. Sufficient
-    statistics (per-step residual scatter matrices) are precomputed so
-    one objective evaluation costs O(T (2N)^3) regardless of the number
-    of futures.
+    statistics are precomputed so one objective evaluation costs
+    O(T N^3) regardless of the number of futures: ``residuals`` (K, T, N)
+    are the futures' offsets from the marginal means along each agent's
+    heading, ``scatter`` (T, N, N) their mean outer product, and
+    ``lateral_ss`` (T,) the mean sum of squared offsets across the
+    headings.
 
     ``latents`` are per-step stand-in backbone features for the
     relevance-head parameterization: standard normal draws from PCG64
@@ -192,16 +198,18 @@ class FitDataset:
             )
             for t in range(t_fut)
         ]
-        self.means = np.stack([m.mean_vector() for m in self.marginals])
-        self.signed_sigma = np.stack(
-            [_sign_sigma_interleaved(m, self.theta[t]) for t, m in enumerate(self.marginals)]
-        )
-        self.blocks = np.stack([_diag_blocks(m) for m in self.marginals])
-
-        flat = self.futures.transpose(0, 2, 1, 3).reshape(self.n_futures, t_fut, 2 * n)
-        self.residuals = flat - self.means[None, :, :]
+        means = np.stack([np.stack([m.mu_x, m.mu_y], axis=-1) for m in self.marginals])
+        offsets = self.futures.transpose(0, 2, 1, 3) - means[None]
+        cos, sin = np.cos(self.theta), np.sin(self.theta)
+        self.residuals = np.einsum("ktnc,tnc->ktn", offsets, np.stack([cos, sin], axis=-1))
+        lateral = np.einsum("ktnc,tnc->ktn", offsets, np.stack([-sin, cos], axis=-1))
         self.scatter = np.einsum("kta,ktb->tab", self.residuals, self.residuals)
         self.scatter /= self.n_futures
+        self.lateral_ss = np.einsum("ktn,ktn->t", lateral, lateral) / self.n_futures
+        if not (np.all(np.isfinite(self.scatter)) and np.all(np.isfinite(self.lateral_ss))):
+            raise ValueError(
+                "residual statistics are not finite: a future overflows its offset from the mean"
+            )
 
         rng = np.random.default_rng(latent_seed)
         self.latents = rng.standard_normal((t_fut, n, feature_dim))
@@ -398,8 +406,10 @@ def _nll_over_rho(
     """Objective (and its gradient w.r.t. every pair correlation).
 
     The objective is the mean over futures of the summed per-step NLL,
-    computed from the precomputed scatter matrices:
-    mean_k nll_k = sum_t 0.5 [ln|C_t| + tr(C_t^-1 S_t) + 2N ln 2pi].
+    computed from the precomputed along-heading scatter S_t and lateral
+    sum of squares L_t with A_t = delta I + Sigma_t rho_t Sigma_t:
+    mean_k nll_k = sum_t 0.5 [ln|A_t| + tr(A_t^-1 S_t) + N ln delta
+    + L_t / delta + 2N ln 2pi].
 
     The returned gradient has shape (T, N, N) and treats every matrix
     entry as independent: entry (t, i, j) is the derivative with respect
@@ -407,30 +417,33 @@ def _nll_over_rho(
     scalar shared by (i, j) and (j, i) is the sum of the two entries.
     """
     n = dataset.n_agents
-    dim = 2 * n
+    if delta_reg <= 0.0:
+        # the lateral block delta I is singular; in the [along, lateral]
+        # basis its first pivot (index N) is the first to fail
+        raise StepFactorizationError(step=0, pivot=n)
+    eye = np.eye(n)
+    sigma = dataset.sigma_delta
+    cov = sigma[:, :, None] * rho * sigma[:, None, :] + delta_reg * eye
+    rho_free = n * np.log(delta_reg) + dataset.lateral_ss / delta_reg + 2 * n * LOG_TWO_PI
     value = 0.0
     d_rho = np.zeros_like(rho) if want_grad else None
-    eye = np.eye(dim)
     for t in range(dataset.t_fut):
-        cov = _assemble_cov(rho[t], dataset.signed_sigma[t], dataset.blocks[t])
-        cov += delta_reg * eye
-        lower, info = dpotrf(cov, lower=1, clean=1)
+        lower, info = dpotrf(cov[t], lower=1, clean=1)
         if info > 0:
             raise StepFactorizationError(step=t, pivot=info - 1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
         log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
+        # whitened scatter W = L^-1 S L^-T, so tr(A^-1 S) = tr(W)
         half = solve_triangular(lower, dataset.scatter[t], lower=True)
-        inv_scatter = solve_triangular(lower, half, lower=True, trans="T")
-        value += 0.5 * (log_det + float(np.trace(inv_scatter)) + dim * LOG_TWO_PI)
+        white = solve_triangular(lower, half.T, lower=True)
+        value += 0.5 * (log_det + float(np.trace(white)) + float(rho_free[t]))
         if want_grad:
-            half_inv = solve_triangular(lower, eye, lower=True)
-            inv = solve_triangular(lower, half_inv, lower=True, trans="T")
-            grad_cov = 0.5 * (inv - inv_scatter @ inv)
-            weighted = grad_cov * np.outer(dataset.signed_sigma[t], dataset.signed_sigma[t])
-            block_sums = weighted.reshape(n, 2, n, 2).sum(axis=(1, 3))
-            np.fill_diagonal(block_sums, 0.0)
-            d_rho[t] = block_sums
+            # A^-1 - A^-1 S A^-1 = L^-T (I - W) L^-1, by triangular solves only
+            left = solve_triangular(lower, eye - white, lower=True, trans="T")
+            grad_cov = solve_triangular(lower, left.T, lower=True, trans="T")
+            d_rho[t] = 0.5 * sigma[t][:, None] * grad_cov * sigma[t][None, :]
+            np.fill_diagonal(d_rho[t], 0.0)
     return value, d_rho
 
 

@@ -281,35 +281,6 @@ def reconstruct_cross_correlations(
     return rho_delta * signs
 
 
-def _sign_sigma_interleaved(marg: Marginals, theta: np.ndarray) -> np.ndarray:
-    """(2N,) vector sgn(cos t_i) sx_i, sgn(sin t_i) sy_i used for off-diagonal blocks."""
-    signs = np.sign(_trig_interleaved(theta))
-    out = np.empty(2 * marg.n_agents)
-    out[0::2] = marg.sigma_x
-    out[1::2] = marg.sigma_y
-    return signs * out
-
-
-def _diag_blocks(marg: Marginals) -> np.ndarray:
-    """(N, 2, 2) per-agent marginal covariance blocks."""
-    cross = marg.rho_xy * marg.sigma_x * marg.sigma_y
-    blocks = np.empty((marg.n_agents, 2, 2))
-    blocks[:, 0, 0] = marg.sigma_x * marg.sigma_x
-    blocks[:, 0, 1] = cross
-    blocks[:, 1, 0] = cross
-    blocks[:, 1, 1] = marg.sigma_y * marg.sigma_y
-    return blocks
-
-
-def _assemble_cov(rho: np.ndarray, signed_sigma: np.ndarray, diag_blocks: np.ndarray) -> np.ndarray:
-    """Dense 2N x 2N covariance from pairwise correlations and marginal blocks."""
-    cov = np.outer(signed_sigma, signed_sigma) * np.kron(rho, ONES_2X2)
-    n = diag_blocks.shape[0]
-    for i in range(n):
-        cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = diag_blocks[i]
-    return cov
-
-
 def assemble_joint(
     marg: Marginals,
     corr: Union[CorrelationMatrix, np.ndarray],
@@ -331,7 +302,17 @@ def assemble_joint(
         raise ValueError(
             f"correlation matrix is {corr.n_agents}x{corr.n_agents}, expected {n}x{n}"
         )
-    cov = _assemble_cov(corr.rho, _sign_sigma_interleaved(marg, theta), _diag_blocks(marg))
+    sigma = np.empty(2 * n)
+    sigma[0::2] = marg.sigma_x
+    sigma[1::2] = marg.sigma_y
+    signed_sigma = np.sign(_trig_interleaved(theta)) * sigma
+    cov = np.outer(signed_sigma, signed_sigma) * np.kron(corr.rho, ONES_2X2)
+    x, y = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+    cross = marg.rho_xy * marg.sigma_x * marg.sigma_y
+    cov[x, x] = marg.sigma_x * marg.sigma_x
+    cov[x, y] = cross
+    cov[y, x] = cross
+    cov[y, y] = marg.sigma_y * marg.sigma_y
     return JointGaussian(mean=marg.mean_vector(), cov=cov)
 
 

@@ -133,6 +133,26 @@ class TestFit:
         assert report["failure_flag"]
         assert "not positive definite" in report["failure_reason"]
 
+    def test_overflowing_coordinate_exits_one_without_traceback(self, tmp_path, capsys):
+        # 1e200 is finite, so the scene loads, but the residual scatter
+        # overflows; the dataset must be rejected, not crash the fit
+        dataset = make_dataset_dir(tmp_path, n_scenes=20)
+        scene_path = dataset / "scene_000.json"
+        scene = json.loads(scene_path.read_text())
+        scene["future"][0][0][0] = 1e200
+        write_json(scene_path, scene)
+        fit_config = tmp_path / "fit.json"
+        write_json(fit_config, {"max_iters": 5})
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        code = main(["fit", str(dataset), str(fit_config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid dataset")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_empty_dataset_dir_exits_one(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -31,7 +31,9 @@ from jointmotion.fit import (
 LOG_TWO_PI = np.log(2.0 * np.pi)
 
 
-def small_dataset(seed=1, n_futures=64, pattern="mixed", n_agents=3, target=0.5):
+def small_dataset(
+    seed=1, n_futures=64, pattern="mixed", n_agents=3, target=0.5, curvature=0.0
+):
     config = ScenarioConfig(
         pattern=pattern,
         n_agents=n_agents,
@@ -40,6 +42,7 @@ def small_dataset(seed=1, n_futures=64, pattern="mixed", n_agents=3, target=0.5)
         target_rho=target,
         noise_sigma=0.5,
         seed=seed,
+        curvature=curvature,
     )
     return config, FitDataset.from_config(config, n_futures=n_futures)
 
@@ -59,20 +62,34 @@ def split_dataset(dataset, boundary):
 
 class TestObjective:
     def test_matches_per_scene_loop_oracle(self):
-        _, dataset = small_dataset()
+        # curved futures and axis-aligned headings leave lateral residuals,
+        # so the delta-only lateral term is exercised, not just ~1e-15 dust
+        _, straight = small_dataset()
+        _, curved = small_dataset(curvature=0.05)
+        _, four = small_dataset(n_agents=4)
+        axis_aligned = FitDataset(
+            current=four.current,
+            theta=np.tile([0.0, np.pi / 2, np.pi, -np.pi / 2], (four.t_fut, 1)),
+            mu_delta=four.mu_delta,
+            sigma_delta=four.sigma_delta,
+            futures=four.futures,
+        )
+        _, single = small_dataset(n_agents=1)
         rng = np.random.default_rng(0)
-        params = DirectRhoParams(rng.uniform(-0.4, 0.4, (4, 3)), 3)
-        value = nll_objective(params, dataset, 1e-4)
-        rho = params.rho_matrices()
-        total = 0.0
-        for k in range(dataset.n_futures):
-            for t in range(dataset.t_fut):
-                joint = assemble_joint(
-                    dataset.marginals[t], CorrelationMatrix(rho[t]), dataset.theta[t]
-                )
-                regular = JointGaussian(joint.mean, tikhonov_regularize(joint.cov, 1e-4))
-                total += scene_nll(regular, dataset.futures[k, :, t, :].reshape(-1))
-        np.testing.assert_allclose(value, total / dataset.n_futures, rtol=1e-10)
+        for dataset in (straight, curved, axis_aligned, single):
+            n = dataset.n_agents
+            params = DirectRhoParams(rng.uniform(-0.4, 0.4, (4, n * (n - 1) // 2)), n)
+            value = nll_objective(params, dataset, 1e-4)
+            rho = params.rho_matrices()
+            total = 0.0
+            for k in range(dataset.n_futures):
+                for t in range(dataset.t_fut):
+                    joint = assemble_joint(
+                        dataset.marginals[t], CorrelationMatrix(rho[t]), dataset.theta[t]
+                    )
+                    regular = JointGaussian(joint.mean, tikhonov_regularize(joint.cov, 1e-4))
+                    total += scene_nll(regular, dataset.futures[k, :, t, :].reshape(-1))
+            np.testing.assert_allclose(value, total / dataset.n_futures, rtol=1e-10)
 
     def test_identity_correlation_equals_sum_of_marginal_nlls(self):
         _, dataset = small_dataset(n_futures=1)
@@ -148,11 +165,13 @@ class TestObjective:
 
 class TestGradients:
     def test_direct_rho_matches_finite_differences(self):
-        _, dataset = small_dataset()
+        _, straight = small_dataset()
+        _, curved = small_dataset(curvature=0.05)
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            params = DirectRhoParams(rng.uniform(-0.4, 0.4, (4, 3)), 3)
-            assert gradient_check(params, dataset, delta_reg=1e-4) < 1e-5
+        for dataset, delta_reg in ((straight, 1e-4), (curved, 1e-2)):
+            for _ in range(5):
+                params = DirectRhoParams(rng.uniform(-0.4, 0.4, (4, 3)), 3)
+                assert gradient_check(params, dataset, delta_reg=delta_reg) < 1e-5
 
     def test_relevance_head_matches_finite_differences(self):
         _, dataset = small_dataset()

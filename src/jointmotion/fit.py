@@ -481,8 +481,9 @@ def fit_parameters(
 
     Stops on ``max_iters`` or when the objective changes by less than
     ``convergence_tol``. On a factorization failure the regularization
-    is escalated once (x 10); a second failure aborts with the failure
-    flag set and the report still filled in. ``initial`` warm-starts the
+    is escalated once (x 10); a second failure, or a first one when
+    escalation cannot change it (delta_reg = 0), aborts with the failure flag
+    set and the report still filled in. ``initial`` warm-starts the
     optimizer in place of the default parameters.
     """
     params = make_params(config, dataset) if initial is None else initial
@@ -501,11 +502,12 @@ def fit_parameters(
         try:
             value, grad = params.with_vector(x).value_and_grad(dataset, delta)
         except NotPositiveDefiniteError as exc:
-            if not escalated:
+            if not escalated and delta * 10.0 != delta:
                 escalated = True
                 delta = delta * 10.0
                 continue
-            failure_reason = f"factorization failed after delta escalation: {exc}"
+            after = " after delta escalation" if escalated else ""
+            failure_reason = f"factorization failed{after}: {exc}"
             break
         trace.append(value)
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:

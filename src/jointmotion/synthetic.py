@@ -244,28 +244,49 @@ def _geometry(config: ScenarioConfig, rng: np.random.Generator):
 
 def _walk(
     config: ScenarioConfig,
+    rng: np.random.Generator,
+    factor: np.ndarray,
     start: np.ndarray,
     base_heading: np.ndarray,
-    deltas: np.ndarray,
-    jitter: np.ndarray,
     first_step_index: int,
+    count: int,
+    steps: int,
 ):
-    """Integrate per-step 1-D increments along evolving headings.
+    """Integrate ``count`` walks of correlated 1-D increments along
+    evolving headings, all from one ``standard_normal`` draw.
 
-    ``deltas`` and ``jitter`` have shape (steps, N). Returns positions
-    (steps, N, 2) and the per-step headings (steps, N).
+    The draw has shape (count, D, steps, N): D = 1 holds the increments;
+    with heading noise D = 2, and each walk's jitter follows its
+    increments. Returns positions (count, N, steps, 2) and headings
+    (count, N, steps); without heading noise the headings are one
+    read-only (N, steps) block broadcast over the walks.
     """
-    steps = deltas.shape[0]
-    n = deltas.shape[1]
-    positions = np.empty((steps, n, 2))
-    headings = np.empty((steps, n))
-    point = start.copy()
-    for s in range(steps):
-        h = base_heading + config.curvature * (first_step_index + s) + jitter[s]
-        h = wrap_angle(h)
-        point = point + deltas[s][:, None] * np.stack([np.cos(h), np.sin(h)], axis=1)
-        positions[s] = point
-        headings[s] = h
+    n = start.shape[0]
+    jittered = config.heading_noise != 0.0
+    z = rng.standard_normal((count, 2 if jittered else 1, steps, n))
+    deltas = z[:, 0] @ factor.T
+    deltas *= config.noise_sigma
+    deltas += config.base_speed
+
+    index = np.arange(first_step_index, first_step_index + steps, dtype=np.float64)
+    headings = base_heading + config.curvature * index[:, None]
+    if jittered:
+        jitter = z[:, 1]
+        jitter *= config.heading_noise
+        headings = np.add(jitter, headings, out=jitter)
+    headings = np.swapaxes(wrap_angle(headings), -1, -2)
+    del z  # free the draw before the position buffer exists
+
+    # Each step's displacement, the start folded into the first, summed
+    # left to right: the additions of a step-by-step walk, in its order.
+    positions = np.empty((count, n, steps, 2))
+    np.cos(headings, out=positions[..., 0])
+    np.sin(headings, out=positions[..., 1])
+    positions *= deltas.transpose(0, 2, 1)[..., None]
+    positions[:, :, :1] += start[:, None]
+    np.cumsum(positions, axis=2, out=positions)
+    if not jittered:
+        headings = np.broadcast_to(headings, (count, n, steps))
     return positions, headings
 
 
@@ -278,46 +299,18 @@ def _simulate(config: ScenarioConfig, count: int):
 
     rng_family = np.random.default_rng([config.seed, _STREAM_FAMILY])
     base_heading, starts = _geometry(config, rng_family)
-
-    def draw_deltas(rng, shape_prefix):
-        z = rng.standard_normal(shape_prefix + (n,))
-        correlated = z @ factor.T
-        return config.base_speed + config.noise_sigma * correlated
-
-    def draw_jitter(rng, shape_prefix):
-        if config.heading_noise == 0.0:
-            return np.zeros(shape_prefix + (n,))
-        return config.heading_noise * rng.standard_normal(shape_prefix + (n,))
-
-    past_steps = t_obs - 1
-    past = np.empty((n, t_obs, 2))
-    past[:, 0] = starts
-    if past_steps:
-        past_positions, _ = _walk(
-            config,
-            starts,
-            base_heading,
-            draw_deltas(rng_family, (past_steps,)),
-            draw_jitter(rng_family, (past_steps,)),
-            first_step_index=1,
-        )
-        past[:, 1:] = past_positions.transpose(1, 0, 2)
+    past_positions, _ = _walk(
+        config, rng_family, factor, starts, base_heading,
+        first_step_index=1, count=1, steps=t_obs - 1,
+    )
+    past = np.concatenate([starts[:, None], past_positions[0]], axis=1)
     current = past[:, -1]
 
     rng_future = np.random.default_rng([config.seed, _STREAM_FUTURES])
-    futures = np.empty((count, n, t_fut, 2))
-    yaws = np.empty((count, n, t_fut))
-    for k in range(count):
-        positions, headings = _walk(
-            config,
-            current,
-            base_heading,
-            draw_deltas(rng_future, (t_fut,)),
-            draw_jitter(rng_future, (t_fut,)),
-            first_step_index=t_obs,
-        )
-        futures[k] = positions.transpose(1, 0, 2)
-        yaws[k] = headings.T
+    futures, yaws = _walk(
+        config, rng_future, factor, current, base_heading,
+        first_step_index=t_obs, count=count, steps=t_fut,
+    )
 
     steps = np.arange(1, t_fut + 1, dtype=np.float64)
     truth = SceneTruth(
@@ -353,7 +346,9 @@ def sample_future_positions(
 
     ``futures`` has shape (count, N, T, 2), ``yaws`` (count, N, T) and
     ``current`` (N, 2); future k matches scene k from
-    :func:`generate_scenes`.
+    :func:`generate_scenes`. With ``heading_noise == 0`` every future
+    shares one set of headings, and ``yaws`` is a read-only broadcast
+    view of that single (N, T) block.
     """
     past, futures, yaws, truth = _simulate(config, count)
     return futures, yaws, past[:, -1], truth

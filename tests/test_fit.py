@@ -293,6 +293,22 @@ class TestFitParameters:
         assert report.delta_reg_used == 0.0
         assert np.isnan(report.final_nll)
 
+    def test_zero_delta_is_not_escalated(self, monkeypatch):
+        # 0 x 10 is still 0, so a retry would repeat the same failing call.
+        _, dataset = small_dataset(seed=17, n_futures=200)
+        deltas_tried = []
+        value_and_grad = DirectRhoParams.value_and_grad
+
+        def counted(params, data, delta_reg):
+            deltas_tried.append(delta_reg)
+            return value_and_grad(params, data, delta_reg)
+
+        monkeypatch.setattr(DirectRhoParams, "value_and_grad", counted)
+        report = fit_parameters(FitConfig(delta_reg=0.0, max_iters=50), dataset)
+        assert deltas_tried == [0.0]
+        assert report.failure_flag
+        assert "escalation" not in report.failure_reason
+
     def test_escalation_recovers_once_then_proceeds(self):
         _, dataset = small_dataset(seed=18, n_futures=200, n_agents=3, target=0.3)
         start = DirectRhoParams.from_rho(

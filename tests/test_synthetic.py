@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointmotion import (
     InvalidCorrelationError,
@@ -16,6 +18,7 @@ from jointmotion import (
     wrap_angle,
     yaw_error_distribution,
 )
+from jointmotion.synthetic import PATTERNS, _geometry, _psd_factor
 
 
 def final_step_increments(config, count):
@@ -23,6 +26,42 @@ def final_step_increments(config, count):
     futures, yaws, current, truth = sample_future_positions(config, count)
     theta = yaws[0, :, -1]
     return increments_from_positions(futures[:, :, -1, :], current, theta), truth
+
+
+def reference_futures(config, count):
+    """Plain per-future, per-step walk: (futures, yaws, current).
+
+    Each future draws its (T, N) increments, then, with heading noise,
+    its (T, N) jitter from the futures stream [seed, 1]; the past walks
+    the same way on the family stream [seed, 0] after the geometry.
+    """
+    n = config.n_agents
+    factor = _psd_factor(correlation_for(config).rho)
+    family = np.random.default_rng([config.seed, 0])
+    base_heading, starts = _geometry(config, family)
+
+    def walk(rng, point, first_step, steps):
+        z = rng.standard_normal((steps, n))
+        deltas = config.base_speed + config.noise_sigma * (z @ factor.T)
+        jitter = np.zeros((steps, n))
+        if config.heading_noise:
+            jitter = config.heading_noise * rng.standard_normal((steps, n))
+        positions, headings = [point], []
+        for s in range(steps):
+            h = wrap_angle(base_heading + config.curvature * (first_step + s) + jitter[s])
+            point = point + deltas[s][:, None] * np.stack([np.cos(h), np.sin(h)], axis=1)
+            positions.append(point)
+            headings.append(h)
+        return positions, headings
+
+    current = walk(family, starts, 1, config.t_obs - 1)[0][-1]
+    rng = np.random.default_rng([config.seed, 1])
+    futures, yaws = [], []
+    for _ in range(count):
+        positions, headings = walk(rng, current, config.t_obs, config.t_fut)
+        futures.append(np.stack(positions[1:], axis=1))
+        yaws.append(np.stack(headings, axis=1))
+    return np.stack(futures), np.stack(yaws), current
 
 
 class TestConfigValidation:
@@ -129,6 +168,34 @@ class TestGeneration:
         again = SceneTruth.from_dict(truth.to_dict())
         np.testing.assert_array_equal(truth.rho.rho, again.rho.rho)
         np.testing.assert_array_equal(truth.sigma_delta, again.sigma_delta)
+
+
+class TestFutureStream:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pattern=st.sampled_from(PATTERNS),
+        n_agents=st.integers(1, 8),
+        t_obs=st.integers(1, 4),
+        t_fut=st.integers(1, 12),
+        count=st.integers(1, 20),
+        curvature=st.floats(-2.0, 2.0),
+        heading_noise=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_walk_matches_per_step_oracle(
+        self, pattern, n_agents, t_obs, t_fut, count, curvature, heading_noise, seed
+    ):
+        config = ScenarioConfig(
+            pattern=pattern, n_agents=n_agents, t_obs=t_obs, t_fut=t_fut, seed=seed,
+            curvature=curvature, heading_noise=heading_noise,
+        )
+        futures, yaws, current, _ = sample_future_positions(config, count)
+        want_futures, want_yaws, want_current = reference_futures(config, count)
+        assert np.array_equal(futures, want_futures)
+        assert np.array_equal(yaws, want_yaws)
+        assert np.array_equal(current, want_current)
+        if heading_noise == 0.0:
+            assert not yaws.flags.writeable
 
 
 class TestEmpiricalIncrementPcc:

@@ -22,6 +22,8 @@ eps 1e-8), fully deterministic given the seed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -71,12 +73,20 @@ class FitConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
+        for name in ("max_iters", "seed", "feature_dim"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("learning_rate", "delta_reg", "convergence_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.delta_reg < 0.0:
             raise ValueError("delta_reg must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.parameterization not in PARAMETERIZATIONS:
             raise ValueError(
                 f"parameterization must be one of {PARAMETERIZATIONS}, "
@@ -258,6 +268,8 @@ class FitDataset:
         """
         if config.heading_noise != 0.0:
             raise ValueError("fit datasets need heading_noise == 0 (shared headings)")
+        if n_futures < 1:
+            raise ValueError("n_futures must be >= 1")
         futures, yaws, current, truth = sample_future_positions(config, n_futures)
         return cls(
             current=current,
@@ -369,13 +381,7 @@ class RelevanceParams:
                 f"dataset latents have width {dataset.latents.shape[2]}, "
                 f"head expects {self.head.feature_dim}"
             )
-        rho = np.empty((dataset.t_fut, dataset.n_agents, dataset.n_agents))
-        caches = []
-        for t in range(dataset.t_fut):
-            rho_t, cache = relevance_forward_cached(dataset.latents[t], self.head)
-            rho[t] = rho_t
-            caches.append(cache)
-        return rho, caches
+        return relevance_forward_cached(dataset.latents, self.head)
 
     def rho_matrices(self, dataset: FitDataset) -> np.ndarray:
         rho, _ = self._forward(dataset)
@@ -384,12 +390,9 @@ class RelevanceParams:
     def value_and_grad(
         self, dataset: FitDataset, delta_reg: float
     ) -> Tuple[float, np.ndarray]:
-        rho, caches = self._forward(dataset)
+        rho, cache = self._forward(dataset)
         value, d_rho = _nll_over_rho(rho, dataset, delta_reg, want_grad=True)
-        grad = np.zeros_like(self.vector())
-        for t in range(dataset.t_fut):
-            grad += relevance_backward(caches[t], d_rho[t], self.head).pack()
-        return value, grad
+        return value, relevance_backward(cache, d_rho, self.head).pack()
 
     def value(self, dataset: FitDataset, delta_reg: float) -> float:
         rho, _ = self._forward(dataset)
@@ -415,6 +418,8 @@ def _nll_over_rho(
     entry as independent: entry (t, i, j) is the derivative with respect
     to rho[t, i, j] alone (zero diagonal). The derivative of the pair
     scalar shared by (i, j) and (j, i) is the sum of the two entries.
+
+    Raises FloatingPointError when a step covariance is not finite.
     """
     n = dataset.n_agents
     if delta_reg <= 0.0:
@@ -424,6 +429,9 @@ def _nll_over_rho(
     eye = np.eye(n)
     sigma = dataset.sigma_delta
     cov = sigma[:, :, None] * rho * sigma[:, None, :] + delta_reg * eye
+    finite = np.isfinite(cov).all(axis=(1, 2))
+    if not finite.all():
+        raise FloatingPointError(f"covariance at future step {np.argmin(finite)} is not finite")
     rho_free = n * np.log(delta_reg) + dataset.lateral_ss / delta_reg + 2 * n * LOG_TWO_PI
     value = 0.0
     d_rho = np.zeros_like(rho) if want_grad else None
@@ -469,8 +477,8 @@ def _clipped_rho(params: FitParams, dataset: FitDataset) -> np.ndarray:
     rho = params.rho_matrices(dataset)
     rho = np.clip(rho, -1.0, 1.0)
     rho = (rho + rho.transpose(0, 2, 1)) / 2.0
-    for t in range(rho.shape[0]):
-        np.fill_diagonal(rho[t], 1.0)
+    diagonal = np.arange(rho.shape[-1])
+    rho[:, diagonal, diagonal] = 1.0
     return rho
 
 
@@ -483,11 +491,13 @@ def fit_parameters(
     ``convergence_tol``. On a factorization failure the regularization
     is escalated once (x 10); a second failure, or a first one when
     escalation cannot change it (delta_reg = 0), aborts with the failure flag
-    set and the report still filled in. ``initial`` warm-starts the
-    optimizer in place of the default parameters.
+    set and the report still filled in. A non-finite covariance or
+    objective aborts the same way without escalation; the report then
+    describes the last iterate whose objective was finite. ``initial``
+    warm-starts the optimizer in place of the default parameters.
     """
     params = make_params(config, dataset) if initial is None else initial
-    x = params.vector()
+    x = x_finite = params.vector()
     delta = config.delta_reg
     escalated = False
     failure_reason = None
@@ -501,6 +511,8 @@ def fit_parameters(
     while iteration < config.max_iters:
         try:
             value, grad = params.with_vector(x).value_and_grad(dataset, delta)
+            if not math.isfinite(value):
+                raise FloatingPointError(f"the objective is {value}")
         except NotPositiveDefiniteError as exc:
             if not escalated and delta * 10.0 != delta:
                 escalated = True
@@ -509,7 +521,13 @@ def fit_parameters(
             after = " after delta escalation" if escalated else ""
             failure_reason = f"factorization failed{after}: {exc}"
             break
+        except FloatingPointError as exc:
+            # this iterate may have no finite rho to report
+            x = x_finite
+            failure_reason = f"non-finite objective at iteration {iteration}: {exc}"
+            break
         trace.append(value)
+        x_finite = x
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:
             break
         if x.size:
@@ -571,9 +589,15 @@ def gradient_check(
     dataset: FitDataset,
     delta_reg: float = 1e-4,
     step: float = 1e-6,
+    analytic: Optional[np.ndarray] = None,
 ) -> float:
-    """Worst relative disagreement between analytic and numeric gradients."""
-    analytic = grad_nll(params, dataset, delta_reg)
+    """Worst relative disagreement between analytic and numeric gradients.
+
+    ``analytic`` is the gradient under test; it defaults to
+    :func:`grad_nll` at ``params``.
+    """
+    if analytic is None:
+        analytic = grad_nll(params, dataset, delta_reg)
     if analytic.size == 0:
         return 0.0
     numeric = finite_difference_gradient(

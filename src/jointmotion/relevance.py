@@ -122,17 +122,17 @@ class RelevanceHead:
 def _forward_cached(features: np.ndarray, head: RelevanceHead):
     features = np.asarray(features, dtype=np.float64)
     d = head.feature_dim
-    if features.ndim != 2 or features.shape[1] != d:
-        raise ValueError(f"features: expected (N, {d}), got {features.shape}")
+    if features.ndim not in (2, 3) or features.shape[-1] != d:
+        raise ValueError(f"features: expected (N, {d}) or (T, N, {d}), got {features.shape}")
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
     q = features @ head.w_query
     k = features @ head.w_key
     v = features @ head.w_value
-    scores = (q @ k.T) / np.sqrt(d)
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    scores = (q @ k.mT) / np.sqrt(d)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
-    attn = weights / weights.sum(axis=1, keepdims=True)
+    attn = weights / weights.sum(axis=-1, keepdims=True)
     mixed = attn @ v
     pre = mixed @ head.w_hidden + head.b_hidden
     hidden = np.tanh(pre)
@@ -154,10 +154,24 @@ def attention_forward(features: np.ndarray, head: RelevanceHead) -> np.ndarray:
     """Relevance-aware features: attention over agents, then the transform.
 
     Deterministic, permutation-equivariant over agent rows. Returns an
-    (N, d) array.
+    array shaped like ``features``: (N, d), or (T, N, d) for a stack.
     """
     out, _ = _forward_cached(features, head)
     return out
+
+
+def _cosine(features: np.ndarray):
+    """Cosine similarity of the rows, with unit diagonal, and the row norms
+    and unit rows it is built from. Works on (N, d) or a (T, N, d) stack."""
+    norms = np.linalg.norm(features, axis=-1)
+    zero = np.argwhere(norms == 0.0)
+    if zero.size:
+        raise DegenerateFeatureError(f"feature row {zero[0, -1]} has zero norm")
+    unit = features / norms[..., None]
+    rho = unit @ unit.mT
+    diagonal = np.arange(rho.shape[-1])
+    rho[..., diagonal, diagonal] = 1.0
+    return rho, norms, unit
 
 
 def cosine_relevance(features: np.ndarray) -> CorrelationMatrix:
@@ -169,14 +183,8 @@ def cosine_relevance(features: np.ndarray) -> CorrelationMatrix:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError(f"features: expected (N, d), got {features.shape}")
-    norms = np.linalg.norm(features, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateFeatureError(f"feature row {bad} has zero norm")
-    unit = features / norms[:, None]
-    rho = np.clip(unit @ unit.T, -1.0, 1.0)
-    np.fill_diagonal(rho, 1.0)
-    return CorrelationMatrix(rho)
+    rho, _, _ = _cosine(features)
+    return CorrelationMatrix(np.clip(rho, -1.0, 1.0))
 
 
 def relevance_matrix(features: np.ndarray, head: RelevanceHead) -> CorrelationMatrix:
@@ -187,19 +195,13 @@ def relevance_matrix(features: np.ndarray, head: RelevanceHead) -> CorrelationMa
 def relevance_forward_cached(features: np.ndarray, head: RelevanceHead):
     """Forward pass keeping intermediates for :func:`relevance_backward`.
 
-    Returns (rho, cache) where ``rho`` is the raw (N, N) similarity
-    matrix with unit diagonal.
+    ``features`` is one step's (N, d) latents or a (T, N, d) stack of
+    steps, each step attending only over its own agents. Returns (rho,
+    cache) where ``rho`` is the raw (N, N) similarity matrix with unit
+    diagonal, or the (T, N, N) stack of them.
     """
     out, cache = _forward_cached(features, head)
-    norms = np.linalg.norm(out, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateFeatureError(f"feature row {bad} has zero norm")
-    unit = out / norms[:, None]
-    rho = unit @ unit.T
-    np.fill_diagonal(rho, 1.0)
-    cache["norms"] = norms
-    cache["unit"] = unit
+    rho, cache["norms"], cache["unit"] = _cosine(out)
     return rho, cache
 
 
@@ -207,43 +209,53 @@ def relevance_backward(cache: dict, d_rho: np.ndarray, head: RelevanceHead) -> R
     """Gradients of a scalar loss with respect to all head parameters.
 
     ``d_rho`` is the loss gradient with respect to the similarity
-    matrix; its diagonal is ignored (the diagonal is pinned to 1).
-    Returns the gradients packed in a :class:`RelevanceHead` container.
+    matrix, shaped like the ``rho`` of the forward pass; its diagonal is
+    ignored (the diagonal is pinned to 1). For a stack the per-step
+    gradients are added in step order, so the result is bit-identical to
+    summing single-step calls one after the other from zero. Returns the
+    gradients packed in a :class:`RelevanceHead` container.
     """
     features = cache["features"]
-    d = features.shape[1]
-    d_rho = np.asarray(d_rho, dtype=np.float64).copy()
-    np.fill_diagonal(d_rho, 0.0)
+    d = features.shape[-1]
+    d_rho = np.array(d_rho, dtype=np.float64)
+    diagonal = np.arange(d_rho.shape[-1])
+    d_rho[..., diagonal, diagonal] = 0.0
 
     unit = cache["unit"]
     norms = cache["norms"]
-    d_unit = (d_rho + d_rho.T) @ unit
-    d_out = (d_unit - np.sum(d_unit * unit, axis=1, keepdims=True) * unit) / norms[:, None]
+    d_unit = (d_rho + d_rho.mT) @ unit
+    d_out = (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norms[..., None]
 
     hidden = cache["hidden"]
-    d_w_out = hidden.T @ d_out
-    d_b_out = d_out.sum(axis=0)
+    d_w_out = hidden.mT @ d_out
+    d_b_out = d_out.sum(axis=-2)
     d_hidden = d_out @ head.w_out.T
     d_pre = d_hidden * (1.0 - hidden * hidden)
-    d_w_hidden = cache["mixed"].T @ d_pre
-    d_b_hidden = d_pre.sum(axis=0)
+    d_w_hidden = cache["mixed"].mT @ d_pre
+    d_b_hidden = d_pre.sum(axis=-2)
     d_mixed = d_pre @ head.w_hidden.T
 
     attn = cache["attn"]
     v = cache["v"]
-    d_attn = d_mixed @ v.T
-    d_v = attn.T @ d_mixed
-    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=1, keepdims=True))
+    d_attn = d_mixed @ v.mT
+    d_v = attn.mT @ d_mixed
+    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
     scale = 1.0 / np.sqrt(d)
     d_q = d_scores @ cache["k"] * scale
-    d_k = d_scores.T @ cache["q"] * scale
+    d_k = d_scores.mT @ cache["q"] * scale
 
-    return RelevanceHead(
-        w_query=features.T @ d_q,
-        w_key=features.T @ d_k,
-        w_value=features.T @ d_v,
-        w_hidden=d_w_hidden,
-        b_hidden=d_b_hidden,
-        w_out=d_w_out,
-        b_out=d_b_out,
+    grads = (
+        features.mT @ d_q,
+        features.mT @ d_k,
+        features.mT @ d_v,
+        d_w_hidden,
+        d_b_hidden,
+        d_w_out,
+        d_b_out,
     )
+    if features.ndim == 2:
+        return RelevanceHead(*grads)
+    # Reduced as packed (T, P) rows, numpy adds the steps in order; a
+    # width-1 field (d = 1) reduced on its own would be summed pairwise.
+    steps = np.concatenate([g.reshape(len(g), -1) for g in grads], axis=1)
+    return RelevanceHead.unpack(np.add.reduce(steps, axis=0, initial=0.0), d)

@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from jointmotion import ModeSet, load_scene, min_joint_ade, min_joint_fde, save_modes, save_scene
 from jointmotion.cli import main
@@ -153,6 +154,60 @@ class TestFit:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            '"learning_rate": Infinity',
+            '"convergence_tol": NaN',
+            '"delta_reg": NaN',
+            '"seed": -1, "parameterization": "relevance-head"',
+            '"max_iters": NaN',
+            '"feature_dim": 2.5, "parameterization": "relevance-head"',
+        ],
+    )
+    def test_invalid_config_value_exits_one(self, tmp_path, capsys, override):
+        dataset = make_dataset_dir(tmp_path, n_scenes=20)
+        fit_config = tmp_path / "fit.json"
+        fit_config.write_text("{" + override + "}")
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        assert main(["fit", str(dataset), str(fit_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid fit config")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_non_finite_iterate_exits_three_with_report(self, tmp_path, capsys):
+        # a huge step drives the head's weights to overflow at iteration 1
+        config = tmp_path / "scenario.json"
+        write_json(
+            config,
+            scenario_payload(pattern="follow", n_agents=3, t_fut=4, seed=1, n_scenes=20),
+        )
+        dataset = tmp_path / "dataset"
+        assert main(["generate", str(config), "--out", str(dataset)]) == 0
+        fit_config = tmp_path / "fit.json"
+        write_json(
+            fit_config,
+            {"parameterization": "relevance-head", "learning_rate": 1e300, "max_iters": 50},
+        )
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["fit", str(dataset), str(fit_config), "--out", str(out)])
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads(
+            (out / "fit_report.json").read_text(), parse_constant=pytest.fail
+        )
+        assert report["failure_flag"]
+        assert report["failure_reason"].startswith("non-finite objective at iteration 1")
+        assert report["delta_reg_used"] == 1e-4  # not escalated
+        assert report["iterations_run"] == len(report["nll_trace"]) == 1
+        assert np.all(np.isfinite(report["recovered_rho"]))
+        trace_rows = (out / "nll_trace.csv").read_text().splitlines()
+        assert len(trace_rows) == 2
+
     def test_empty_dataset_dir_exits_one(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -284,6 +339,42 @@ class TestGradcheck:
 
     def test_injected_bug_detected(self, tmp_path):
         assert main(["gradcheck", "--out", str(tmp_path), "--inject-gradient-bug"]) == 4
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--n-agents 0",
+            "--t-fut 0",
+            "--n-futures 0",
+            "--step 0",
+            "--step nan",
+            "--delta-reg 0",
+            "--delta-reg nan",
+            "--seed -1",
+        ],
+    )
+    def test_invalid_input_exits_one(self, tmp_path, capsys, args):
+        capsys.readouterr()
+        assert main(["gradcheck", "--out", str(tmp_path)] + args.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--delta-reg 1e-300 --step 1000",  # a probe is not positive definite
+            "--step 1.7e308",  # a probe overflows the head
+        ],
+    )
+    def test_undefined_objective_at_probe_exits_four(self, tmp_path, capsys, args):
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["gradcheck", "--out", str(tmp_path)] + args.split()) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
 
     def test_single_agent_degenerate_path(self, tmp_path):
         assert main(["gradcheck", "--out", str(tmp_path), "--n-agents", "1"]) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointmotion import (
     CorrelationMatrix,
@@ -139,3 +141,36 @@ class TestPipeline:
         analytic = relevance_backward(cache, weights, head).pack()
         numeric = finite_difference_gradient(loss, head.pack(), 1e-6)
         assert np.max(relative_gradient_errors(analytic, numeric)) < 1e-7
+
+
+class TestStackedSteps:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        t=st.integers(1, 12),
+        n=st.integers(1, 8),
+        d=st.integers(1, 16),
+        head_seed=st.integers(0, 2**32 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_stack_matches_per_step_calls(self, t, n, d, head_seed, data_seed, log_scale):
+        rng = np.random.default_rng(data_seed)
+        head = RelevanceHead.initialize(d, seed=head_seed)
+        latents = rng.standard_normal((t, n, d)) * 10.0**log_scale
+        d_rho = rng.standard_normal((t, n, n))
+
+        rho, cache = relevance_forward_cached(latents, head)
+        steps = [relevance_forward_cached(latents[s], head) for s in range(t)]
+        assert np.array_equal(rho, np.stack([rho_s for rho_s, _ in steps]))
+
+        # the per-step packs added up in step order, as a loop over steps would
+        total = np.zeros(head.pack().size)
+        for s, (_, cache_s) in enumerate(steps):
+            total += relevance_backward(cache_s, d_rho[s], head).pack()
+        stacked = relevance_backward(cache, d_rho, head).pack()
+        assert np.array_equal(stacked, total)
+
+        diagonal = np.arange(n)
+        other_diagonal = d_rho.copy()
+        other_diagonal[:, diagonal, diagonal] = rng.standard_normal((t, n)) * 1e3
+        assert np.array_equal(relevance_backward(cache, other_diagonal, head).pack(), stacked)

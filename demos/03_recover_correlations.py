@@ -2,7 +2,8 @@
 
 Generates a follower scene family with a known increment correlation,
 then recovers it two ways by minimizing the scene-level NLL: directly
-over tanh-mapped pair parameters, and through the attention relevance
+over the rows of a unit-diagonal lower-triangular matrix, whose cosine
+similarities are the correlations, and through the attention relevance
 head that maps latent features to a correlation matrix.
 """
 
@@ -37,7 +38,7 @@ empirical = [
 print("empirical increment correlation per step:", np.round(empirical, 4))
 
 direct = fit_parameters(FitConfig(max_iters=500, convergence_tol=1e-10), dataset)
-print("\ndirect tanh parameterization:")
+print("\ndirect unit-row cosine parameterization:")
 print("  recovered per step:", direct.recovered_rho[:, 0, 1].round(4))
 print("  iterations:", direct.iterations_run, " final NLL:", round(direct.final_nll, 4))
 

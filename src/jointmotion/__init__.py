@@ -13,6 +13,7 @@ from .fit import (
     DirectRhoParams,
     RelevanceParams,
     StepFactorizationError,
+    UnitRowRhoParams,
     fit_parameters,
     finite_difference_gradient,
     grad_nll,

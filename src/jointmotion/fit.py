@@ -6,6 +6,12 @@ marginals and headings; only the cross-agent correlation parameters (or
 the relevance head producing them) are free. Keeping the marginals
 pinned isolates the cross-agent structure from regression quality.
 
+Both fits take their correlations from one map, the cosine similarity
+of rows (``relevance.cosine_gram``): the relevance head's output rows, or
+for ``direct-rho`` the rows of a unit-diagonal lower-triangular matrix
+whose strictly-lower entries are the parameters. Either way every
+parameter vector gives a positive semidefinite correlation matrix.
+
 The fit works in the N x N along-heading space. Projected marginals make
 each regularized step covariance delta I + U R U^T with U = Q Sigma, Q the
 agents' orthonormal heading vectors; in the basis [along, lateral] it is
@@ -15,9 +21,10 @@ only. The dense 2N x 2N joint of ``assemble_joint`` is the reference.
 
 Gradients are analytic: for each step, dNLL/dR = 0.5 Sigma (A^-1 -
 A^-1 S A^-1) Sigma with S the mean along-heading residual outer product,
-chained for the relevance head through cosine similarity, the feature
-transform and attention. The optimizer is Adam (beta1 0.9, beta2 0.999,
-eps 1e-8), fully deterministic given the seed.
+chained through cosine similarity (``relevance.cosine_gram_backward``)
+and, for the relevance head, the feature transform and attention. The
+optimizer is Adam (beta1 0.9, beta2 0.999, eps 1e-8), fully
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -33,7 +40,14 @@ from scipy.linalg.lapack import dpotrf
 
 from .gaussian import LOG_TWO_PI, NotPositiveDefiniteError
 from .increments import IncrementParams, Marginals, projected_marginals
-from .relevance import RelevanceHead, relevance_backward, relevance_forward_cached
+from .relevance import (
+    DegenerateFeatureError,
+    RelevanceHead,
+    cosine_gram,
+    cosine_gram_backward,
+    relevance_backward,
+    relevance_forward_cached,
+)
 from .scene import Scene
 from .synthetic import SceneTruth, ScenarioConfig, sample_future_positions
 
@@ -286,6 +300,20 @@ def _triu(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
+def _tril(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    return np.tril_indices(n, k=-1)
+
+
+def _rho_stack(rho: np.ndarray, t_fut: Optional[int]) -> np.ndarray:
+    """One (N, N) matrix shared by ``t_fut`` steps, or a (T, N, N) stack."""
+    rho = np.asarray(rho, dtype=np.float64)
+    if rho.ndim == 2:
+        if t_fut is None:
+            raise ValueError("t_fut required for a single shared matrix")
+        rho = np.broadcast_to(rho, (t_fut,) + rho.shape)
+    return rho
+
+
 class DirectRhoParams:
     """Per-step pair correlations through a tanh map.
 
@@ -294,6 +322,11 @@ class DirectRhoParams:
     near the boundary. That is N (N - 1) / 2 stored cross-agent scalars
     per step, against 4 N (N - 1) / 2 for a four-correlation planar
     parameterization.
+
+    The tanh map bounds each correlation but not the matrix: many
+    parameter vectors give an indefinite rho. ``direct-rho`` fits
+    therefore run :class:`UnitRowRhoParams`; this class evaluates the
+    objective at a given rho, indefinite warm starts included.
     """
 
     def __init__(self, raw: np.ndarray, n_agents: int):
@@ -313,11 +346,7 @@ class DirectRhoParams:
     def from_rho(cls, rho: np.ndarray, t_fut: Optional[int] = None) -> "DirectRhoParams":
         """Initialize at given correlations (|rho| < 1), one (N, N) matrix
         shared by all steps or a (T, N, N) stack."""
-        rho = np.asarray(rho, dtype=np.float64)
-        if rho.ndim == 2:
-            if t_fut is None:
-                raise ValueError("t_fut required for a single shared matrix")
-            rho = np.broadcast_to(rho, (t_fut,) + rho.shape)
+        rho = _rho_stack(rho, t_fut)
         n = rho.shape[1]
         iu, ju = _triu(n)
         pairs = rho[:, iu, ju]
@@ -329,34 +358,85 @@ class DirectRhoParams:
         return self.raw.ravel().copy()
 
     def with_vector(self, vector: np.ndarray) -> "DirectRhoParams":
-        return DirectRhoParams(
+        return type(self)(
             np.asarray(vector, dtype=np.float64).reshape(self.raw.shape), self.n_agents
         )
 
-    def rho_matrices(self, dataset: Optional[FitDataset] = None) -> np.ndarray:
-        """(T, N, N) correlation matrices with unit diagonal."""
+    def _forward(self):
+        """(T, N, N) correlations, and what :meth:`_raw_grad` needs of them."""
         n = self.n_agents
         iu, ju = _triu(n)
         rho = np.tile(np.eye(n), (self.t_fut, 1, 1))
         values = np.tanh(self.raw)
         rho[:, iu, ju] = values
         rho[:, ju, iu] = values
+        return rho, None
+
+    def _raw_grad(self, d_rho: np.ndarray, cache) -> np.ndarray:
+        """Chain a (T, N, N) gradient over rho entries back to ``raw``."""
+        iu, ju = _triu(self.n_agents)
+        pair_grad = d_rho[:, iu, ju] + d_rho[:, ju, iu]
+        return pair_grad * (1.0 - np.tanh(self.raw) ** 2)
+
+    def rho_matrices(self, dataset: Optional[FitDataset] = None) -> np.ndarray:
+        """(T, N, N) correlation matrices with unit diagonal."""
+        rho, _ = self._forward()
         return rho
 
+    # Subclasses override _forward and _raw_grad, not the objective
+    # methods, so a wrapper on these sees every direct-fit objective call.
     def value_and_grad(
         self, dataset: FitDataset, delta_reg: float
     ) -> Tuple[float, np.ndarray]:
-        rho = self.rho_matrices(dataset)
+        rho, cache = self._forward()
         value, d_rho = _nll_over_rho(rho, dataset, delta_reg, want_grad=True)
-        iu, ju = _triu(self.n_agents)
-        pair_grad = d_rho[:, iu, ju] + d_rho[:, ju, iu]
-        raw_grad = pair_grad * (1.0 - np.tanh(self.raw) ** 2)
-        return value, raw_grad.ravel()
+        return value, self._raw_grad(d_rho, cache).ravel()
 
     def value(self, dataset: FitDataset, delta_reg: float) -> float:
         rho = self.rho_matrices(dataset)
         value, _ = _nll_over_rho(rho, dataset, delta_reg, want_grad=False)
         return value
+
+
+class UnitRowRhoParams(DirectRhoParams):
+    """Per-step correlations as the cosine Gram of a unit-diagonal
+    lower-triangular matrix; the parameters of ``direct-rho`` fits.
+
+    Step t stores the strictly-lower entries of M_t, whose diagonal is 1,
+    in ``np.tril_indices(N, -1)`` order, and rho_t is the cosine
+    similarity of M_t's rows: rho_t = L_t L_t^T with L_t the rows of M_t
+    divided by their norms (Pinheiro & Bates 1996). No row has zero norm,
+    so rho_t is positive semidefinite and delta I + Sigma rho_t Sigma is
+    positive definite for every delta > 0, whatever the parameters. Every
+    positive definite correlation matrix has exactly one such M_t: its
+    Cholesky factor with rows divided by their diagonal. Zero parameters
+    give rho = I. The same N (N - 1) / 2 scalars per step as the tanh map.
+    """
+
+    @classmethod
+    def from_rho(cls, rho: np.ndarray, t_fut: Optional[int] = None) -> "UnitRowRhoParams":
+        """Initialize at given positive definite correlations, one (N, N)
+        matrix shared by all steps or a (T, N, N) stack."""
+        rho = _rho_stack(rho, t_fut)
+        try:
+            lower = np.linalg.cholesky(rho)
+        except np.linalg.LinAlgError:
+            raise ValueError("unit-row parameterization needs positive definite rho") from None
+        rows = lower / np.diagonal(lower, axis1=1, axis2=2)[:, :, None]
+        il, jl = _tril(rho.shape[1])
+        return cls(rows[:, il, jl], rho.shape[1])
+
+    def _forward(self):
+        n = self.n_agents
+        il, jl = _tril(n)
+        rows = np.tile(np.eye(n), (self.t_fut, 1, 1))
+        rows[:, il, jl] = self.raw
+        rho, norms, unit = cosine_gram(rows)
+        return rho, (unit, norms)
+
+    def _raw_grad(self, d_rho: np.ndarray, cache) -> np.ndarray:
+        il, jl = _tril(self.n_agents)
+        return cosine_gram_backward(d_rho, *cache)[:, il, jl]
 
 
 class RelevanceParams:
@@ -458,7 +538,7 @@ def _nll_over_rho(
 def make_params(config: FitConfig, dataset: FitDataset) -> FitParams:
     """Fresh parameters for a fit: zero correlations or a seeded head."""
     if config.parameterization == "direct-rho":
-        return DirectRhoParams.zeros(dataset.t_fut, dataset.n_agents)
+        return UnitRowRhoParams.zeros(dataset.t_fut, dataset.n_agents)
     return RelevanceParams.initialize(config.feature_dim, config.seed)
 
 
@@ -491,10 +571,18 @@ def fit_parameters(
     ``convergence_tol``. On a factorization failure the regularization
     is escalated once (x 10); a second failure, or a first one when
     escalation cannot change it (delta_reg = 0), aborts with the failure flag
-    set and the report still filled in. A non-finite covariance or
-    objective aborts the same way without escalation; the report then
-    describes the last iterate whose objective was finite. ``initial``
-    warm-starts the optimizer in place of the default parameters.
+    set and the report still filled in. Both parameterizations give
+    positive semidefinite correlations, so with delta_reg > 0 only an
+    ``initial`` warm start from an indefinite rho (a tanh
+    :class:`DirectRhoParams`) fails to factor, or rounding when delta_reg
+    is too small to absorb it. A non-finite covariance or objective, or a
+    zero-norm feature row of the relevance head, aborts the same way
+    without escalation; the report then describes the last iterate whose
+    objective was finite (its ``recovered_rho`` is NaN when even the
+    first iterate has no correlations). Floating-point warnings raised
+    inside the objective are silenced, since its result is checked.
+    ``initial`` warm-starts the optimizer in place of the default
+    parameters.
     """
     params = make_params(config, dataset) if initial is None else initial
     x = x_finite = params.vector()
@@ -510,7 +598,8 @@ def fit_parameters(
     iteration = 0
     while iteration < config.max_iters:
         try:
-            value, grad = params.with_vector(x).value_and_grad(dataset, delta)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value, grad = params.with_vector(x).value_and_grad(dataset, delta)
             if not math.isfinite(value):
                 raise FloatingPointError(f"the objective is {value}")
         except NotPositiveDefiniteError as exc:
@@ -521,7 +610,7 @@ def fit_parameters(
             after = " after delta escalation" if escalated else ""
             failure_reason = f"factorization failed{after}: {exc}"
             break
-        except FloatingPointError as exc:
+        except (FloatingPointError, DegenerateFeatureError) as exc:
             # this iterate may have no finite rho to report
             x = x_finite
             failure_reason = f"non-finite objective at iteration {iteration}: {exc}"
@@ -539,11 +628,15 @@ def fit_parameters(
             x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         iteration += 1
 
-    final_params = params.with_vector(x)
+    try:
+        recovered = _clipped_rho(params.with_vector(x), dataset)
+    except DegenerateFeatureError:
+        n = dataset.n_agents
+        recovered = np.full((dataset.t_fut, n, n), np.nan)
     return FitReport(
         final_nll=trace[-1] if trace else float("nan"),
         nll_trace=np.asarray(trace),
-        recovered_rho=_clipped_rho(final_params, dataset),
+        recovered_rho=recovered,
         iterations_run=len(trace),
         delta_reg_used=delta,
         parameterization=config.parameterization,

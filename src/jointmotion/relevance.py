@@ -160,9 +160,15 @@ def attention_forward(features: np.ndarray, head: RelevanceHead) -> np.ndarray:
     return out
 
 
-def _cosine(features: np.ndarray):
+def cosine_gram(features: np.ndarray):
     """Cosine similarity of the rows, with unit diagonal, and the row norms
-    and unit rows it is built from. Works on (N, d) or a (T, N, d) stack."""
+    and unit rows it is built from. Works on (N, d) or a (T, N, d) stack.
+
+    The Gram matrix of unit rows is a correlation matrix by construction
+    (symmetric, unit diagonal, positive semidefinite). Both fits get their
+    correlations from this map: the relevance head from its output rows,
+    the direct fit from the rows of a unit-diagonal lower-triangular matrix.
+    """
     norms = np.linalg.norm(features, axis=-1)
     zero = np.argwhere(norms == 0.0)
     if zero.size:
@@ -174,6 +180,20 @@ def _cosine(features: np.ndarray):
     return rho, norms, unit
 
 
+def cosine_gram_backward(d_rho: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient with respect to the rows given to :func:`cosine_gram`.
+
+    ``d_rho`` is the loss gradient with respect to its ``rho``, with every
+    entry treated as independent; the diagonal is ignored (it is pinned
+    to 1). ``unit`` and ``norms`` are the ones :func:`cosine_gram` returned.
+    """
+    d_rho = np.array(d_rho, dtype=np.float64)
+    diagonal = np.arange(d_rho.shape[-1])
+    d_rho[..., diagonal, diagonal] = 0.0
+    d_unit = (d_rho + d_rho.mT) @ unit
+    return (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norms[..., None]
+
+
 def cosine_relevance(features: np.ndarray) -> CorrelationMatrix:
     """Pairwise cosine similarity of feature rows as a correlation matrix.
 
@@ -183,7 +203,7 @@ def cosine_relevance(features: np.ndarray) -> CorrelationMatrix:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError(f"features: expected (N, d), got {features.shape}")
-    rho, _, _ = _cosine(features)
+    rho, _, _ = cosine_gram(features)
     return CorrelationMatrix(np.clip(rho, -1.0, 1.0))
 
 
@@ -201,7 +221,7 @@ def relevance_forward_cached(features: np.ndarray, head: RelevanceHead):
     diagonal, or the (T, N, N) stack of them.
     """
     out, cache = _forward_cached(features, head)
-    rho, cache["norms"], cache["unit"] = _cosine(out)
+    rho, cache["norms"], cache["unit"] = cosine_gram(out)
     return rho, cache
 
 
@@ -217,14 +237,7 @@ def relevance_backward(cache: dict, d_rho: np.ndarray, head: RelevanceHead) -> R
     """
     features = cache["features"]
     d = features.shape[-1]
-    d_rho = np.array(d_rho, dtype=np.float64)
-    diagonal = np.arange(d_rho.shape[-1])
-    d_rho[..., diagonal, diagonal] = 0.0
-
-    unit = cache["unit"]
-    norms = cache["norms"]
-    d_unit = (d_rho + d_rho.mT) @ unit
-    d_out = (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norms[..., None]
+    d_out = cosine_gram_backward(d_rho, cache["unit"], cache["norms"])
 
     hidden = cache["hidden"]
     d_w_out = hidden.mT @ d_out

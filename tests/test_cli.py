@@ -2,12 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jointmotion import ModeSet, load_scene, min_joint_ade, min_joint_fde, save_modes, save_scene
 from jointmotion.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_json(path, payload):
@@ -207,6 +213,38 @@ class TestFit:
         assert np.all(np.isfinite(report["recovered_rho"]))
         trace_rows = (out / "nll_trace.csv").read_text().splitlines()
         assert len(trace_rows) == 2
+
+    def test_non_finite_iterate_prints_one_error_line(self, tmp_path):
+        # run as a process: numpy's overflow warnings inside the objective
+        # would reach stderr ahead of the error line
+        config = tmp_path / "scenario.json"
+        write_json(
+            config,
+            scenario_payload(pattern="follow", n_agents=3, t_fut=4, seed=1, n_scenes=20),
+        )
+        dataset = tmp_path / "dataset"
+        assert main(["generate", str(config), "--out", str(dataset)]) == 0
+        fit_config = tmp_path / "fit.json"
+        write_json(
+            fit_config,
+            {"parameterization": "relevance-head", "learning_rate": 1e300, "max_iters": 50},
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "jointmotion.cli", "fit", str(dataset), str(fit_config),
+             "--out", str(tmp_path / "fit_out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("fit failed: non-finite objective at iteration 1")
 
     def test_empty_dataset_dir_exits_one(self, tmp_path):
         empty = tmp_path / "empty"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointmotion import (
     CorrelationMatrix,
@@ -20,13 +22,16 @@ from jointmotion.fit import (
     FitDataset,
     RelevanceParams,
     StepFactorizationError,
+    UnitRowRhoParams,
     finite_difference_gradient,
     fit_parameters,
     grad_nll,
     gradient_check,
+    make_params,
     nll_objective,
     relative_gradient_errors,
 )
+from jointmotion.relevance import RelevanceHead
 
 LOG_TWO_PI = np.log(2.0 * np.pi)
 
@@ -170,8 +175,10 @@ class TestGradients:
         rng = np.random.default_rng(3)
         for dataset, delta_reg in ((straight, 1e-4), (curved, 1e-2)):
             for _ in range(5):
-                params = DirectRhoParams(rng.uniform(-0.4, 0.4, (4, 3)), 3)
-                assert gradient_check(params, dataset, delta_reg=delta_reg) < 1e-5
+                raw = rng.uniform(-0.4, 0.4, (4, 3))
+                for kind in (DirectRhoParams, UnitRowRhoParams):
+                    params = kind(raw, 3)
+                    assert gradient_check(params, dataset, delta_reg=delta_reg) < 1e-5
 
     def test_relevance_head_matches_finite_differences(self):
         _, dataset = small_dataset()
@@ -238,7 +245,80 @@ class TestGradients:
         assert coarse > 1e-5
 
 
+class TestUnitRowRho:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=st.integers(1, 6),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_every_parameter_vector_is_a_correlation_matrix(self, t, n, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((t, n * (n - 1) // 2)) * 10.0**log_scale
+        rho = UnitRowRhoParams(raw, n).rho_matrices()
+        assert rho.shape == (t, n, n)
+        assert np.array_equal(rho, rho.transpose(0, 2, 1))
+        assert np.all(np.diagonal(rho, axis1=1, axis2=2) == 1.0)
+        assert np.all(np.abs(rho) <= 1.0)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.integers(1, 6), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_from_rho_round_trips_positive_definite_correlations(self, t, n, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((t, n, n + 2))
+        gram = features @ features.transpose(0, 2, 1)
+        scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+        rho = gram / scale[:, :, None] / scale[:, None, :]
+        params = UnitRowRhoParams.from_rho(rho)
+        assert params.raw.shape == (t, n * (n - 1) // 2)
+        np.testing.assert_allclose(params.rho_matrices(), rho, rtol=0.0, atol=1e-10)
+
+    def test_zero_parameters_give_identity(self):
+        params = UnitRowRhoParams.zeros(t_fut=3, n_agents=4)
+        assert np.array_equal(params.rho_matrices(), np.tile(np.eye(4), (3, 1, 1)))
+        assert params.raw.shape == (3, 6)
+
+    def test_from_rho_rejects_indefinite_matrix(self):
+        indefinite = np.full((3, 3), -0.6)
+        np.fill_diagonal(indefinite, 1.0)
+        with pytest.raises(ValueError):
+            UnitRowRhoParams.from_rho(indefinite, t_fut=2)
+
+
 class TestFitParameters:
+    def test_default_direct_fit_uses_unit_row_map(self):
+        _, dataset = small_dataset(seed=12, n_futures=100)
+        params = make_params(FitConfig(), dataset)
+        assert type(params) is UnitRowRhoParams
+        assert params.raw.shape == (dataset.t_fut, dataset.n_pairs)
+
+    def test_follow_at_64_agents_fits_without_escalation(self):
+        # the tanh map turned this fit indefinite at iterations 17 to 20
+        config = ScenarioConfig(
+            pattern="follow", n_agents=64, t_obs=4, t_fut=12, target_rho=0.8, seed=0
+        )
+        dataset = FitDataset.from_config(config, n_futures=1_024)
+        report = fit_parameters(FitConfig(max_iters=30), dataset)
+        assert not report.failure_flag, report.failure_reason
+        assert report.iterations_run == 30
+        assert report.delta_reg_used == 1e-4
+
+    def test_degenerate_features_end_the_fit_with_a_report(self):
+        _, dataset = small_dataset(seed=11, n_futures=100)
+        zero_head = RelevanceHead.zeros_like(RelevanceHead.initialize(8, seed=0))
+        config = FitConfig(parameterization="relevance-head", max_iters=20)
+        report = fit_parameters(config, dataset, initial=RelevanceParams(zero_head))
+        assert report.failure_flag
+        assert report.failure_reason.startswith("non-finite objective at iteration 0")
+        assert "zero norm" in report.failure_reason
+        assert report.delta_reg_used == config.delta_reg  # not escalated
+        assert report.iterations_run == 0
+        assert np.isnan(report.final_nll)
+        assert report.recovered_rho.shape == (dataset.t_fut, 3, 3)
+        assert np.all(np.isnan(report.recovered_rho))
+
     def test_direct_recovery_smoke(self):
         config, dataset = small_dataset(seed=13, n_futures=2_000, pattern="follow", target=0.8)
         report = fit_parameters(

@@ -41,6 +41,7 @@ from .increments import (
     assemble_joint,
     equivalence_check,
     estimate_yaw,
+    heading_vectors,
     pair_count,
     planar_pair_count,
     project_increments,

@@ -40,6 +40,7 @@ from .scene import (
     load_modes,
     load_scene,
     save_scene,
+    write_json,
 )
 from .synthetic import ScenarioConfig, SceneTruth, generate_scenes
 
@@ -63,12 +64,6 @@ def _load_json(path: Path):
         return json.load(handle)
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, allow_nan=False)
-        handle.write("\n")
-
-
 def _write_manifest(
     out_dir: Path,
     command: str,
@@ -85,7 +80,7 @@ def _write_manifest(
         "duration_s": time.monotonic() - started,
         "version": __version__,
     }
-    _write_json(manifest, out_dir / "run_manifest.json")
+    write_json(manifest, out_dir / "run_manifest.json")
 
 
 def _cmd_generate(args) -> int:
@@ -114,7 +109,7 @@ def _cmd_generate(args) -> int:
             scene_name = f"scene_{index:03d}.json"
             truth_name = f"scene_{index:03d}.truth.json"
             save_scene(scene, out_dir / scene_name)
-            _write_json(truth.to_dict(), out_dir / truth_name)
+            write_json(truth.to_dict(), out_dir / truth_name)
             artifacts.extend([scene_name, truth_name])
         _write_manifest(out_dir, "generate", config.to_dict(), config.seed, artifacts, started)
     except OSError as exc:
@@ -184,13 +179,13 @@ def _cmd_fit(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(report.to_dict(), out_dir / "fit_report.json")
+        write_json(report.to_dict(), out_dir / "fit_report.json")
         with open(out_dir / "nll_trace.csv", "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["iteration", "nll"])
             for index, value in enumerate(np.asarray(report.nll_trace)):
                 writer.writerow([index, repr(float(value))])
-        _write_json(
+        write_json(
             {"rho": np.asarray(report.recovered_rho).tolist()},
             out_dir / "recovered_rho.json",
         )

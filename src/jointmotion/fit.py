@@ -39,7 +39,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from .gaussian import LOG_TWO_PI, NotPositiveDefiniteError
-from .increments import IncrementParams, Marginals, projected_marginals
+from .increments import IncrementParams, Marginals, heading_vectors, pair_count, projected_marginals
 from .relevance import (
     DegenerateFeatureError,
     RelevanceHead,
@@ -212,7 +212,7 @@ class FitDataset:
         self.n_agents = n
         self.t_fut = t_fut
         self.n_futures = self.futures.shape[0]
-        self.n_pairs = n * (n - 1) // 2
+        self.n_pairs = pair_count(n)
 
         self.marginals: List[Marginals] = [
             projected_marginals(
@@ -224,9 +224,10 @@ class FitDataset:
         ]
         means = np.stack([np.stack([m.mu_x, m.mu_y], axis=-1) for m in self.marginals])
         offsets = self.futures.transpose(0, 2, 1, 3) - means[None]
-        cos, sin = np.cos(self.theta), np.sin(self.theta)
-        self.residuals = np.einsum("ktnc,tnc->ktn", offsets, np.stack([cos, sin], axis=-1))
-        lateral = np.einsum("ktnc,tnc->ktn", offsets, np.stack([-sin, cos], axis=-1))
+        along = heading_vectors(self.theta)
+        self.residuals = np.einsum("ktnc,tnc->ktn", offsets, along)
+        # the lateral unit vectors [-sin, cos]
+        lateral = np.einsum("ktnc,tnc->ktn", offsets, along[..., ::-1] * [-1.0, 1.0])
         self.scatter = np.einsum("kta,ktb->tab", self.residuals, self.residuals)
         self.scatter /= self.n_futures
         self.lateral_ss = np.einsum("ktn,ktn->t", lateral, lateral) / self.n_futures
@@ -296,14 +297,6 @@ class FitDataset:
         )
 
 
-def _triu(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
-
-
-def _tril(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.tril_indices(n, k=-1)
-
-
 def _rho_stack(rho: np.ndarray, t_fut: Optional[int]) -> np.ndarray:
     """One (N, N) matrix shared by ``t_fut`` steps, or a (T, N, N) stack."""
     rho = np.asarray(rho, dtype=np.float64)
@@ -331,7 +324,7 @@ class DirectRhoParams:
 
     def __init__(self, raw: np.ndarray, n_agents: int):
         raw = np.asarray(raw, dtype=np.float64)
-        n_pairs = n_agents * (n_agents - 1) // 2
+        n_pairs = pair_count(n_agents)
         if raw.ndim != 2 or raw.shape[1] != n_pairs:
             raise ValueError(f"raw: expected (T, {n_pairs}), got {raw.shape}")
         self.raw = raw
@@ -340,7 +333,7 @@ class DirectRhoParams:
 
     @classmethod
     def zeros(cls, t_fut: int, n_agents: int) -> "DirectRhoParams":
-        return cls(np.zeros((t_fut, n_agents * (n_agents - 1) // 2)), n_agents)
+        return cls(np.zeros((t_fut, pair_count(n_agents))), n_agents)
 
     @classmethod
     def from_rho(cls, rho: np.ndarray, t_fut: Optional[int] = None) -> "DirectRhoParams":
@@ -348,7 +341,7 @@ class DirectRhoParams:
         shared by all steps or a (T, N, N) stack."""
         rho = _rho_stack(rho, t_fut)
         n = rho.shape[1]
-        iu, ju = _triu(n)
+        iu, ju = np.triu_indices(n, k=1)
         pairs = rho[:, iu, ju]
         if np.any(np.abs(pairs) >= 1.0):
             raise ValueError("tanh parameterization needs |rho| < 1")
@@ -365,7 +358,7 @@ class DirectRhoParams:
     def _forward(self):
         """(T, N, N) correlations, and what :meth:`_raw_grad` needs of them."""
         n = self.n_agents
-        iu, ju = _triu(n)
+        iu, ju = np.triu_indices(n, k=1)
         rho = np.tile(np.eye(n), (self.t_fut, 1, 1))
         values = np.tanh(self.raw)
         rho[:, iu, ju] = values
@@ -374,7 +367,7 @@ class DirectRhoParams:
 
     def _raw_grad(self, d_rho: np.ndarray, cache) -> np.ndarray:
         """Chain a (T, N, N) gradient over rho entries back to ``raw``."""
-        iu, ju = _triu(self.n_agents)
+        iu, ju = np.triu_indices(self.n_agents, k=1)
         pair_grad = d_rho[:, iu, ju] + d_rho[:, ju, iu]
         return pair_grad * (1.0 - np.tanh(self.raw) ** 2)
 
@@ -423,19 +416,19 @@ class UnitRowRhoParams(DirectRhoParams):
         except np.linalg.LinAlgError:
             raise ValueError("unit-row parameterization needs positive definite rho") from None
         rows = lower / np.diagonal(lower, axis1=1, axis2=2)[:, :, None]
-        il, jl = _tril(rho.shape[1])
+        il, jl = np.tril_indices(rho.shape[1], k=-1)
         return cls(rows[:, il, jl], rho.shape[1])
 
     def _forward(self):
         n = self.n_agents
-        il, jl = _tril(n)
+        il, jl = np.tril_indices(n, k=-1)
         rows = np.tile(np.eye(n), (self.t_fut, 1, 1))
         rows[:, il, jl] = self.raw
         rho, norms, unit = cosine_gram(rows)
         return rho, (unit, norms)
 
     def _raw_grad(self, d_rho: np.ndarray, cache) -> np.ndarray:
-        il, jl = _tril(self.n_agents)
+        il, jl = np.tril_indices(self.n_agents, k=-1)
         return cosine_gram_backward(d_rho, *cache)[:, il, jl]
 
 

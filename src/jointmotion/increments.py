@@ -7,7 +7,7 @@ parameterization back into full planar joint Gaussians: heading
 estimation from mean displacements, projection of increment
 distributions onto the x-y plane, reconstruction of the four planar
 correlation signs per pair, and assembly of the 2N x 2N covariance from
-per-agent marginals.
+per-agent marginals. Every heading's cos/sin comes from :func:`heading_vectors`.
 
 All functions are pure and safe for concurrent use.
 """
@@ -169,6 +169,10 @@ def wrap_angle(angle):
 def estimate_yaw(dx: float, dy: float) -> float:
     """Approximate heading of a displacement vector, in (-pi, pi].
 
+    Not a wrapper over :func:`yaw_from_displacements`: its ``np.arctan2``
+    differs from ``math.atan2`` by one ulp on about 7% of standard-normal
+    inputs (numpy 2.4.6, X86_V3 SIMD).
+
     Raises:
         DegenerateHeadingError: both components are exactly zero (a
             stationary agent has no displacement heading).
@@ -194,10 +198,15 @@ def yaw_from_displacements(
     Returns:
         (theta, degenerate_mask): (N,) headings in (-pi, pi] and a (N,)
         boolean mask marking agents that needed the fallback.
+
+    Raises:
+        ValueError: a displacement component is NaN or infinite.
     """
     displacements = np.asarray(displacements, dtype=np.float64)
     if displacements.ndim != 2 or displacements.shape[1] != 2:
         raise ValueError(f"expected (N, 2) displacements, got {displacements.shape}")
+    if not np.all(np.isfinite(displacements)):
+        raise ValueError("displacement components must be finite")
     degenerate = (displacements[:, 0] == 0.0) & (displacements[:, 1] == 0.0)
     theta = np.arctan2(displacements[:, 1], displacements[:, 0])
     theta = np.where(theta == -np.pi, np.pi, theta)
@@ -218,11 +227,18 @@ def _as_correlation(corr: Union[CorrelationMatrix, np.ndarray]) -> CorrelationMa
     return CorrelationMatrix(np.asarray(corr))
 
 
-def _trig_interleaved(theta: np.ndarray) -> np.ndarray:
-    """(2N,) vector [cos t1, sin t1, cos t2, sin t2, ...]."""
-    out = np.empty(2 * theta.size)
-    out[0::2] = np.cos(theta)
-    out[1::2] = np.sin(theta)
+def heading_vectors(theta) -> np.ndarray:
+    """Unit heading vectors [cos t, sin t], shape ``theta.shape + (2,)``.
+
+    For (N,) headings, ``.reshape(-1)`` is the planar joint's interleaved
+    layout [cos t1, sin t1, cos t2, ...], and its sign the agents' sign
+    pattern. Written into one buffer, which saves the copy a stack of two
+    arrays makes on every per-step call.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    out = np.empty(theta.shape + (2,))
+    np.cos(theta, out=out[..., 0])
+    np.sin(theta, out=out[..., 1])
     return out
 
 
@@ -256,7 +272,7 @@ def project_increments(
         raise ValueError(
             f"correlation matrix is {corr.n_agents}x{corr.n_agents}, expected {n}x{n}"
         )
-    trig = _trig_interleaved(theta)
+    trig = heading_vectors(theta).reshape(-1)
     scaled = trig * np.repeat(inc.sigma, 2)
     cov = np.outer(scaled, scaled) * np.kron(corr.rho, ONES_2X2)
     mean = current.reshape(-1) + trig * np.repeat(inc.mu, 2)
@@ -271,14 +287,19 @@ def reconstruct_cross_correlations(
     Returns the 2x2 matrix [[r_xx, r_xy], [r_yx, r_yy]] where each entry
     is ``rho_delta`` times the sign of the matching cos/sin product of
     the two headings. sgn(0) is taken as 0, so an axis-aligned agent
-    contributes no correlation along its orthogonal axis.
+    contributes no correlation along its orthogonal axis. Each entry is
+    the sign of a product: a product of signs gives -0.0 for 0.0 at
+    headings (-0.0, pi).
+
+    Raises:
+        ValueError: ``rho_delta`` is outside [-1, 1] or a heading is not finite.
     """
     if not -1.0 <= rho_delta <= 1.0:
         raise ValueError("rho_delta must lie in [-1, 1]")
-    ci, si = math.cos(theta_i), math.sin(theta_i)
-    cj, sj = math.cos(theta_j), math.sin(theta_j)
-    signs = np.sign(np.array([[ci * cj, ci * sj], [si * cj, si * sj]]))
-    return rho_delta * signs
+    if not (math.isfinite(theta_i) and math.isfinite(theta_j)):
+        raise ValueError("headings must be finite")
+    u_i, u_j = heading_vectors([theta_i, theta_j])
+    return rho_delta * np.sign(np.outer(u_i, u_j))
 
 
 def assemble_joint(
@@ -305,7 +326,7 @@ def assemble_joint(
     sigma = np.empty(2 * n)
     sigma[0::2] = marg.sigma_x
     sigma[1::2] = marg.sigma_y
-    signed_sigma = np.sign(_trig_interleaved(theta)) * sigma
+    signed_sigma = np.sign(heading_vectors(theta).reshape(-1)) * sigma
     cov = np.outer(signed_sigma, signed_sigma) * np.kron(corr.rho, ONES_2X2)
     x, y = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
     cross = marg.rho_xy * marg.sigma_x * marg.sigma_y
@@ -332,8 +353,7 @@ def projected_marginals(
         raise ValueError(f"theta: expected ({n},), got {theta.shape}")
     if current.shape != (n, 2):
         raise ValueError(f"current: expected ({n}, 2), got {current.shape}")
-    c = np.cos(theta)
-    s = np.sin(theta)
+    c, s = heading_vectors(theta).T
     return Marginals(
         mu_x=current[:, 0] + c * inc.mu,
         mu_y=current[:, 1] + s * inc.mu,
@@ -375,4 +395,4 @@ def pair_count(n_agents: int) -> int:
 
 def planar_pair_count(n_agents: int) -> int:
     """Cross-agent parameters a four-correlation planar parameterization stores."""
-    return 4 * (n_agents * (n_agents - 1) // 2)
+    return 4 * pair_count(n_agents)

@@ -184,6 +184,22 @@ def scene_from_dict(payload: dict) -> Scene:
     return Scene(past=past, future=future, yaw=yaw)
 
 
+def _read_json(path: PathLike):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SceneFormatError(f"{path}: {exc}") from None
+
+
+def write_json(payload, path: PathLike) -> None:
+    """Write strict JSON (no NaN or infinity), indented, with a final
+    newline; floats keep full round-trip precision."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, allow_nan=False)
+        handle.write("\n")
+
+
 def load_scene(path: PathLike) -> Scene:
     """Load a scene from JSON, running the same validation as the constructor.
 
@@ -193,19 +209,12 @@ def load_scene(path: PathLike) -> Scene:
         NonFiniteError: NaN or infinite entries.
         OSError: the file cannot be read.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError(f"{path}: {exc}") from None
-    return scene_from_dict(payload)
+    return scene_from_dict(_read_json(path))
 
 
 def save_scene(scene: Scene, path: PathLike) -> None:
     """Write a scene as JSON with full round-trip float precision."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(scene_to_dict(scene), handle, indent=2, allow_nan=False)
-        handle.write("\n")
+    write_json(scene_to_dict(scene), path)
 
 
 def modes_to_dict(modes: ModeSet) -> dict:
@@ -231,16 +240,9 @@ def modes_from_dict(payload: dict) -> ModeSet:
 
 def load_modes(path: PathLike) -> ModeSet:
     """Load a multi-mode prediction from JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SceneFormatError(f"{path}: {exc}") from None
-    return modes_from_dict(payload)
+    return modes_from_dict(_read_json(path))
 
 
 def save_modes(modes: ModeSet, path: PathLike) -> None:
     """Write a multi-mode prediction as JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(modes_to_dict(modes), handle, indent=2, allow_nan=False)
-        handle.write("\n")
+    write_json(modes_to_dict(modes), path)

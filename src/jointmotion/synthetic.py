@@ -23,7 +23,8 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .increments import CorrelationMatrix, IncrementParams, InvalidCorrelationError, wrap_angle
+from .increments import CorrelationMatrix, IncrementParams, InvalidCorrelationError
+from .increments import heading_vectors, wrap_angle
 from .scene import Scene
 
 PATTERNS = ("follow", "yield", "independent", "mixed")
@@ -216,29 +217,14 @@ def _geometry(config: ScenarioConfig, rng: np.random.Generator):
     gap = 2.0 + 2.0 * config.base_speed
     approach = 4.0 * config.base_speed
 
-    def make_follow(i, j):
-        headings[j] = headings[i]
-        starts[j] = starts[i] - gap * np.array([np.cos(headings[i]), np.sin(headings[i])])
-
-    def make_yield(i, j):
-        headings[j] = wrap_angle(headings[i] + np.pi / 2.0)
-        crossing = starts[i] + approach * np.array([np.cos(headings[i]), np.sin(headings[i])])
-        starts[j] = crossing - 1.5 * approach * np.array(
-            [np.cos(headings[j]), np.sin(headings[j])]
-        )
-
-    if config.pattern == "follow":
-        for i, j, _ in _pattern_pairs("follow", n):
-            make_follow(i, j)
-    elif config.pattern == "yield":
-        for i, j, _ in _pattern_pairs("yield", n):
-            make_yield(i, j)
-    elif config.pattern == "mixed":
-        for i, j, sign in _pattern_pairs("mixed", n):
-            if sign > 0:
-                make_follow(i, j)
-            else:
-                make_yield(i, j)
+    for i, j, sign in _pattern_pairs(config.pattern, n):
+        if sign > 0:  # j follows i in its lane
+            headings[j] = headings[i]
+            starts[j] = starts[i] - gap * heading_vectors(headings[i])
+        else:  # j crosses i's path
+            headings[j] = wrap_angle(headings[i] + np.pi / 2.0)
+            crossing = starts[i] + approach * heading_vectors(headings[i])
+            starts[j] = crossing - 1.5 * approach * heading_vectors(headings[j])
     return headings, starts
 
 
@@ -279,9 +265,9 @@ def _walk(
 
     # Each step's displacement, the start folded into the first, summed
     # left to right: the additions of a step-by-step walk, in its order.
-    positions = np.empty((count, n, steps, 2))
-    np.cos(headings, out=positions[..., 0])
-    np.sin(headings, out=positions[..., 1])
+    # Scaled in place at the full shape: with heading noise, a separate
+    # product would hold a second (count, N, steps, 2) buffer.
+    positions = heading_vectors(np.broadcast_to(headings, (count, n, steps)))
     positions *= deltas.transpose(0, 2, 1)[..., None]
     positions[:, :, :1] += start[:, None]
     np.cumsum(positions, axis=2, out=positions)
@@ -364,9 +350,7 @@ def increments_from_positions(
     """
     positions = np.asarray(positions, dtype=np.float64)
     current = np.asarray(current, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    unit = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return np.sum((positions - current) * unit, axis=-1)
+    return np.sum((positions - current) * heading_vectors(theta), axis=-1)
 
 
 def empirical_increment_pcc(samples: np.ndarray) -> CorrelationMatrix:
@@ -417,6 +401,8 @@ def yaw_error_distribution(scenes: Iterable[Scene]) -> YawErrorStats:
         displacement = scene.future - current[:, None, :]
         stationary = (displacement[..., 0] == 0.0) & (displacement[..., 1] == 0.0)
         skipped += int(np.count_nonzero(stationary))
+        # not yaw_from_displacements: its -pi -> pi fold would change the
+        # wrapped error of a chord pointing exactly west
         estimated = np.arctan2(displacement[..., 1], displacement[..., 0])
         delta = wrap_angle(scene.yaw - estimated)
         errors.append(delta[~stationary])

@@ -12,6 +12,7 @@ from jointmotion import (
     assemble_joint,
     equivalence_check,
     estimate_yaw,
+    heading_vectors,
     pair_count,
     planar_pair_count,
     project_increments,
@@ -21,6 +22,11 @@ from jointmotion import (
     JointGaussian,
     yaw_from_displacements,
 )
+
+
+# headings on and between the axes, where cos or sin is 0, +-1 or has a
+# signed zero
+AXIS_HEADINGS = np.array([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 4, -np.pi / 4])
 
 
 def random_instance(rng, n):
@@ -73,6 +79,22 @@ class TestEstimateYaw:
         theta, mask = yaw_from_displacements(np.zeros((2, 2)))
         np.testing.assert_array_equal(theta, [0.0, 0.0])
         assert mask.all()
+
+    @pytest.mark.parametrize("bad", [[np.inf, 0.0], [np.nan, 1.0], [1.0, -np.inf]])
+    def test_vectorized_rejects_non_finite_displacements(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            yaw_from_displacements(np.array([[1.0, 0.0], bad]))
+
+
+class TestHeadingVectors:
+    def test_components_bitwise_equal_cos_and_sin(self):
+        rng = np.random.default_rng(12)
+        theta = np.concatenate([AXIS_HEADINGS, rng.uniform(-np.pi, np.pi, 5)]).reshape(3, 4)
+        unit = heading_vectors(theta)
+        assert unit.shape == (3, 4, 2)
+        assert unit[..., 0].tobytes() == np.cos(theta).tobytes()
+        assert unit[..., 1].tobytes() == np.sin(theta).tobytes()
+        assert heading_vectors(0.5).shape == (2,)
 
 
 class TestProjectIncrements:
@@ -152,6 +174,28 @@ class TestReconstructCrossCorrelations:
         with pytest.raises(ValueError):
             reconstruct_cross_correlations(1.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_heading_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_cross_correlations(0.5, bad, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_cross_correlations(0.5, 0.3, bad)
+
+    def test_signs_match_assembled_blocks(self):
+        rng = np.random.default_rng(11)
+        theta = np.concatenate([AXIS_HEADINGS, rng.uniform(-np.pi, np.pi, 5)])
+        n = theta.size
+        marg = nondegenerate_marginals(rng, n)
+        _, corr, _, _ = random_instance(rng, n)
+        cov = assemble_joint(marg, corr, theta).cov
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                block = cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                pattern = reconstruct_cross_correlations(corr.rho[i, j], theta[i], theta[j])
+                assert np.array_equal(np.sign(block), np.sign(pattern))
+
 
 def nondegenerate_marginals(rng, n):
     return Marginals(
@@ -209,10 +253,12 @@ class TestAssembleJoint:
 
     def test_symmetry_and_sign_pattern(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
+        for trial in range(100):
             n = int(rng.integers(2, 6))
             marg = nondegenerate_marginals(rng, n)
             inc, corr, theta, current = random_instance(rng, n)
+            if trial >= 50:
+                theta = rng.choice(AXIS_HEADINGS, n)
             joint = assemble_joint(marg, corr, theta)
             assert np.array_equal(joint.cov, joint.cov.T)
             trig = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (n, 2)
@@ -242,9 +288,11 @@ class TestEquivalence:
 
     def test_routes_agree_when_headings_match(self):
         rng = np.random.default_rng(9)
-        for _ in range(200):
+        for trial in range(250):
             n = int(rng.integers(2, 6))
             inc, corr, theta, current = random_instance(rng, n)
+            if trial >= 200:
+                theta = rng.choice(AXIS_HEADINGS, n)
             assert equivalence_check(inc, corr, theta, current) <= 1e-10
 
     def test_deviation_grows_continuously_with_heading_error(self):

@@ -9,7 +9,9 @@ override flags; no environment variables. Every run writes exactly one
 artifacts and the wall-clock duration.
 
 Exit codes: 0 ok, 1 invalid config or shape mismatch, 2 I/O failure,
-3 fit failure, 4 gradient-check failure.
+3 fit failure, 4 gradient-check failure. A failure prints one line to
+stderr: ``error: ...``, or ``fit failed: ...`` after a fit's report is
+written.
 
 CSV output uses '.' decimals, ',' separators, a header row and LF line
 endings, so outputs are stable for golden-file comparisons.
@@ -19,29 +21,20 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 
 from . import __version__
-from .fit import FitConfig, FitDataset, fit_parameters, grad_nll, gradient_check, make_params
+from .fit import FitConfig, FitDataset, fit_parameters, gradient_check, make_params
 from .gaussian import NotPositiveDefiniteError
-from .increments import InvalidCorrelationError
 from .metrics import min_joint_ade, min_joint_fde
-from .scene import (
-    NonFiniteError,
-    SceneFormatError,
-    SceneShapeError,
-    load_modes,
-    load_scene,
-    save_scene,
-    write_json,
-)
+from .scene import load_modes, load_scene, read_json, save_scene, write_json
 from .synthetic import ScenarioConfig, SceneTruth, generate_scenes
 
 EXIT_OK = 0
@@ -53,15 +46,42 @@ EXIT_GRADCHECK = 4
 GRADCHECK_THRESHOLD = 1e-5
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Failure(Exception):
+    """Ends a command: :func:`main` prints one ``error:`` line and
+    returns ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-def _load_json(path: Path):
-    """Parse a JSON file; OSError propagates (I/O), ValueError means bad JSON."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+@contextmanager
+def _reading(what: str):
+    """Map failures while parsing and checking an input: unreadable is
+    an I/O failure, malformed or inconsistent is an invalid config."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot read {what}: {exc}") from None
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise _Failure(EXIT_CONFIG, f"invalid {what}: {exc}") from None
+
+
+@contextmanager
+def _writing(what: str):
+    """Map a failed output write to an I/O failure."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failure(EXIT_IO, f"cannot write {what}: {exc}") from None
+
+
+def _read_object(path, what: str) -> dict:
+    with _reading(what):
+        payload = read_json(path)
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+    return payload
 
 
 def _write_manifest(
@@ -85,25 +105,19 @@ def _write_manifest(
 
 def _cmd_generate(args) -> int:
     started = time.monotonic()
-    try:
-        payload = _load_json(Path(args.config))
-    except OSError as exc:
-        return _fail(f"cannot read config: {exc}", EXIT_IO)
-    except ValueError as exc:
-        return _fail(f"config is not valid JSON: {exc}", EXIT_CONFIG)
+    payload = _read_object(args.config, "scenario config")
     if args.seed is not None:
-        if not isinstance(payload, dict):
-            return _fail("config is not a JSON object", EXIT_CONFIG)
         payload["seed"] = args.seed
-    try:
+    with _reading("scenario config"):
         config = ScenarioConfig.from_dict(payload)
-        scenes, truth = generate_scenes(config, config.n_scenes)
-    except (ValueError, InvalidCorrelationError, TypeError) as exc:
-        return _fail(f"invalid scenario config: {exc}", EXIT_CONFIG)
+        # Scene rejects every non-finite result, so numpy's overflow
+        # warnings would only precede the error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            scenes, truth = generate_scenes(config, config.n_scenes)
 
     out_dir = Path(args.out)
     artifacts = []
-    try:
+    with _writing("outputs"):
         out_dir.mkdir(parents=True, exist_ok=True)
         for index, scene in enumerate(scenes):
             scene_name = f"scene_{index:03d}.json"
@@ -112,8 +126,6 @@ def _cmd_generate(args) -> int:
             write_json(truth.to_dict(), out_dir / truth_name)
             artifacts.extend([scene_name, truth_name])
         _write_manifest(out_dir, "generate", config.to_dict(), config.seed, artifacts, started)
-    except OSError as exc:
-        return _fail(f"cannot write outputs: {exc}", EXIT_IO)
     print(f"wrote {len(scenes)} scene(s) to {out_dir}")
     return EXIT_OK
 
@@ -129,8 +141,7 @@ def _load_dataset_dir(dataset_dir: Path):
     for path in scene_paths:
         scenes.append(load_scene(path))
         truth_path = path.with_name(path.name[: -len(".json")] + ".truth.json")
-        payload = _load_json(truth_path)
-        candidate = SceneTruth.from_dict(payload)
+        candidate = SceneTruth.from_dict(read_json(truth_path))
         if truth is None:
             truth = candidate
         elif not (
@@ -146,38 +157,24 @@ def _cmd_fit(args) -> int:
     started = time.monotonic()
     dataset_dir = Path(args.dataset)
     if not dataset_dir.is_dir():
-        return _fail(f"dataset directory not found: {dataset_dir}", EXIT_IO)
-    try:
-        payload = _load_json(Path(args.fit_config))
-    except OSError as exc:
-        return _fail(f"cannot read fit config: {exc}", EXIT_IO)
-    except ValueError as exc:
-        return _fail(f"fit config is not valid JSON: {exc}", EXIT_CONFIG)
-    if not isinstance(payload, dict):
-        return _fail("fit config is not a JSON object", EXIT_CONFIG)
+        raise _Failure(EXIT_IO, f"dataset directory not found: {dataset_dir}")
+    payload = _read_object(args.fit_config, "fit config")
     if args.seed is not None:
         payload["seed"] = args.seed
     if args.delta_reg is not None:
         payload["delta_reg"] = args.delta_reg
-    try:
+    with _reading("fit config"):
         config = FitConfig.from_dict(payload)
-    except (ValueError, TypeError) as exc:
-        return _fail(f"invalid fit config: {exc}", EXIT_CONFIG)
-
-    try:
+    with _reading("dataset"):
         scenes, truth = _load_dataset_dir(dataset_dir)
         dataset = FitDataset.from_scenes(
             scenes, truth, feature_dim=config.feature_dim
         )
-    except OSError as exc:
-        return _fail(f"cannot read dataset: {exc}", EXIT_IO)
-    except (SceneFormatError, SceneShapeError, NonFiniteError, ValueError, KeyError) as exc:
-        return _fail(f"invalid dataset: {exc}", EXIT_CONFIG)
 
     report = fit_parameters(config, dataset)
 
     out_dir = Path(args.out)
-    try:
+    with _writing("outputs"):
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(report.to_dict(), out_dir / "fit_report.json")
         with open(out_dir / "nll_trace.csv", "w", encoding="utf-8", newline="") as handle:
@@ -197,8 +194,6 @@ def _cmd_fit(args) -> int:
             ["fit_report.json", "nll_trace.csv", "recovered_rho.json"],
             started,
         )
-    except OSError as exc:
-        return _fail(f"cannot write outputs: {exc}", EXIT_IO)
 
     if report.failure_flag:
         print(f"fit failed: {report.failure_reason}", file=sys.stderr)
@@ -219,10 +214,7 @@ def _eval_pairs(pred_path: Path, gt_path: Path):
         if not names:
             raise ValueError(f"no prediction files in {pred_path}")
         for name in names:
-            gt_file = gt_path / name
-            if not gt_file.exists():
-                raise FileNotFoundError(f"missing ground-truth file {gt_file}")
-            yield Path(name).stem, load_modes(pred_path / name), load_scene(gt_file).future
+            yield Path(name).stem, load_modes(pred_path / name), load_scene(gt_path / name).future
     else:
         yield pred_path.stem, load_modes(pred_path), load_scene(gt_path).future
 
@@ -233,11 +225,11 @@ def _cmd_eval(args) -> int:
     gt_path = Path(args.gt)
     for path in (pred_path, gt_path):
         if not path.exists():
-            return _fail(f"missing input: {path}", EXIT_IO)
+            raise _Failure(EXIT_IO, f"missing input: {path}")
     rows = []
     ade_values = []
     fde_values = []
-    try:
+    with _reading("evaluation input"):
         for scene_id, modes, gt in _eval_pairs(pred_path, gt_path):
             ade = min_joint_ade(modes, gt)
             fde = min_joint_fde(modes, gt)
@@ -245,15 +237,9 @@ def _cmd_eval(args) -> int:
             rows.append([scene_id, "minJointFDE", repr(fde.value), fde.argmin_mode])
             ade_values.append(ade.value)
             fde_values.append(fde.value)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except OSError as exc:
-        return _fail(f"cannot read inputs: {exc}", EXIT_IO)
-    except (SceneFormatError, SceneShapeError, NonFiniteError, ValueError) as exc:
-        return _fail(f"invalid evaluation input: {exc}", EXIT_CONFIG)
 
     out_csv = Path(args.out)
-    try:
+    with _writing("CSV"):
         out_csv.parent.mkdir(parents=True, exist_ok=True)
         with open(out_csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -269,8 +255,6 @@ def _cmd_eval(args) -> int:
             [out_csv.name],
             started,
         )
-    except OSError as exc:
-        return _fail(f"cannot write CSV: {exc}", EXIT_IO)
     print(f"wrote {out_csv}")
     return EXIT_OK
 
@@ -279,8 +263,8 @@ def _cmd_gradcheck(args) -> int:
     started = time.monotonic()
     for flag, value in (("--step", args.step), ("--delta-reg", args.delta_reg)):
         if not (value > 0.0 and math.isfinite(value)):
-            return _fail(f"{flag} must be positive and finite", EXIT_CONFIG)
-    try:
+            raise _Failure(EXIT_CONFIG, f"{flag} must be positive and finite")
+    with _reading("gradcheck input"):
         configs = [
             FitConfig(parameterization=name, seed=args.seed, delta_reg=args.delta_reg)
             for name in ("direct-rho", "relevance-head")
@@ -295,23 +279,19 @@ def _cmd_gradcheck(args) -> int:
             seed=args.seed,
         )
         dataset = FitDataset.from_config(scenario, n_futures=args.n_futures)
-    except ValueError as exc:
-        return _fail(f"invalid gradcheck input: {exc}", EXIT_CONFIG)
     worst = 0.0
     for config in configs:
         params = make_params(config, dataset)
         try:
-            analytic = None
-            if args.inject_gradient_bug:
-                analytic = grad_nll(params, dataset, config.delta_reg)
-                analytic[:1] += 1e-3 * (1.0 + np.abs(analytic[:1]))
-            error = gradient_check(params, dataset, config.delta_reg, args.step, analytic)
+            error = gradient_check(params, dataset, config.delta_reg, args.step)
         except (NotPositiveDefiniteError, FloatingPointError) as exc:
-            return _fail(f"{config.parameterization}: objective not defined: {exc}", EXIT_GRADCHECK)
+            raise _Failure(
+                EXIT_GRADCHECK, f"{config.parameterization}: objective not defined: {exc}"
+            ) from None
         print(f"{config.parameterization}: max relative gradient error {error:.3e}")
         worst = max(worst, error)
     out_dir = Path(args.out)
-    try:
+    with _writing("manifest"):
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_manifest(
             out_dir,
@@ -328,8 +308,6 @@ def _cmd_gradcheck(args) -> int:
             [],
             started,
         )
-    except OSError as exc:
-        return _fail(f"cannot write manifest: {exc}", EXIT_IO)
     print(f"max relative gradient error {worst:.3e}")
     if worst >= GRADCHECK_THRESHOLD:
         print("gradient check FAILED", file=sys.stderr)
@@ -375,14 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     # conditioned; the analytic chain is identical for any delta
     gc.add_argument("--delta-reg", type=float, default=1e-2)
     gc.add_argument("--out", default=".", help="manifest directory")
-    gc.add_argument("--inject-gradient-bug", action="store_true", help=argparse.SUPPRESS)
     gc.set_defaults(func=_cmd_gradcheck)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return failure.code
 
 
 if __name__ == "__main__":

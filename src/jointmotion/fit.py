@@ -572,10 +572,13 @@ def fit_parameters(
     zero-norm feature row of the relevance head, aborts the same way
     without escalation; the report then describes the last iterate whose
     objective was finite (its ``recovered_rho`` is NaN when even the
-    first iterate has no correlations). Floating-point warnings raised
-    inside the objective are silenced, since its result is checked.
-    ``initial`` warm-starts the optimizer in place of the default
-    parameters.
+    first iterate has no correlations). A first step that moves the
+    parameters but leaves the objective bit-for-bit unchanged also
+    aborts, since the objective cannot resolve the parameters at that
+    delta_reg: a tiny one lets the lateral term swamp it, a huge one the
+    regularization. Floating-point warnings raised inside the objective
+    are silenced, since its result is checked. ``initial`` warm-starts the
+    optimizer in place of the default parameters.
     """
     params = make_params(config, dataset) if initial is None else initial
     x = x_finite = params.vector()
@@ -609,6 +612,12 @@ def fit_parameters(
             failure_reason = f"non-finite objective at iteration {iteration}: {exc}"
             break
         trace.append(value)
+        if len(trace) == 2 and trace[0] == trace[1] and not np.array_equal(x, x_finite):
+            failure_reason = (
+                f"the objective does not resolve the parameters at delta_reg {delta!r}: "
+                f"the first step moved them but left it at {value!r}"
+            )
+            break
         x_finite = x
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:
             break
@@ -675,15 +684,10 @@ def gradient_check(
     dataset: FitDataset,
     delta_reg: float = 1e-4,
     step: float = 1e-6,
-    analytic: Optional[np.ndarray] = None,
 ) -> float:
-    """Worst relative disagreement between analytic and numeric gradients.
-
-    ``analytic`` is the gradient under test; it defaults to
-    :func:`grad_nll` at ``params``.
-    """
-    if analytic is None:
-        analytic = grad_nll(params, dataset, delta_reg)
+    """Worst relative disagreement between :func:`grad_nll` at ``params``
+    and central finite differences of :func:`nll_objective`."""
+    analytic = grad_nll(params, dataset, delta_reg)
     if analytic.size == 0:
         return 0.0
     numeric = finite_difference_gradient(

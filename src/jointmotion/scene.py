@@ -184,11 +184,18 @@ def scene_from_dict(payload: dict) -> Scene:
     return Scene(past=past, future=future, yaw=yaw)
 
 
-def _read_json(path: PathLike):
+def read_json(path: PathLike):
+    """Parse a JSON file.
+
+    Raises:
+        SceneFormatError: the file is not valid JSON, or nests deeper
+            than the decoder's recursion limit.
+        OSError: the file cannot be read.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SceneFormatError(f"{path}: {exc}") from None
 
 
@@ -209,7 +216,7 @@ def load_scene(path: PathLike) -> Scene:
         NonFiniteError: NaN or infinite entries.
         OSError: the file cannot be read.
     """
-    return scene_from_dict(_read_json(path))
+    return scene_from_dict(read_json(path))
 
 
 def save_scene(scene: Scene, path: PathLike) -> None:
@@ -240,7 +247,7 @@ def modes_from_dict(payload: dict) -> ModeSet:
 
 def load_modes(path: PathLike) -> ModeSet:
     """Load a multi-mode prediction from JSON."""
-    return modes_from_dict(_read_json(path))
+    return modes_from_dict(read_json(path))
 
 
 def save_modes(modes: ModeSet, path: PathLike) -> None:

@@ -148,6 +148,11 @@ class SceneTruth:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SceneTruth":
+        if not isinstance(payload, dict):
+            raise ValueError("truth JSON must be an object")
+        for key in ("rho", "mu_delta", "sigma_delta"):
+            if key not in payload:
+                raise ValueError(f"missing field '{key}'")
         return cls(
             rho=CorrelationMatrix(np.asarray(payload["rho"])),
             mu_delta=np.asarray(payload["mu_delta"]),

@@ -1,15 +1,22 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import csv
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import jointmotion.fit
 from jointmotion import ModeSet, load_scene, min_joint_ade, min_joint_fde, save_modes, save_scene
 from jointmotion.cli import main
 
@@ -70,6 +77,28 @@ class TestGenerate:
         config = tmp_path / "config.json"
         config.write_text("{oops")
         assert main(["generate", str(config), "--out", str(tmp_path / "out")]) == 1
+
+    def test_overflowing_simulation_prints_one_error_line(self, tmp_path):
+        # run as a process: numpy's overflow warnings in the simulator
+        # would reach stderr ahead of the error line
+        config = tmp_path / "config.json"
+        write_json(config, {"pattern": "follow", "n_agents": 2, "t_fut": 3, "base_speed": 1e308})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "jointmotion.cli", "generate", str(config),
+             "--out", str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: invalid scenario config")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = tmp_path / "config.json"
@@ -246,6 +275,85 @@ class TestFit:
         assert len(lines) == 1, result.stderr
         assert lines[0].startswith("fit failed: non-finite objective at iteration 1")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda truth: [1, 2], "truth JSON must be an object"),
+            (
+                lambda truth: {k: v for k, v in truth.items() if k != "mu_delta"},
+                "missing field 'mu_delta'",
+            ),
+        ],
+        ids=["list", "no-mu-delta"],
+    )
+    def test_malformed_truth_sidecar_exits_one(self, tmp_path, capsys, edit, message):
+        dataset = make_dataset_dir(tmp_path, n_scenes=3)
+        sidecar = dataset / "scene_001.truth.json"
+        write_json(sidecar, edit(json.loads(sidecar.read_text())))
+        fit_config = tmp_path / "fit.json"
+        write_json(fit_config, {"max_iters": 5})
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        assert main(["fit", str(dataset), str(fit_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: invalid dataset: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "{oops",
+            '{"learning_rate": 1' + "0" * 400 + "}",  # too large for a float
+            "[" * 100_000 + "]" * 100_000,  # deeper than the decoder recurses
+        ],
+        ids=["list", "malformed", "huge-integer", "deep"],
+    )
+    def test_unusable_fit_config_exits_one(self, tmp_path, capsys, text):
+        dataset = make_dataset_dir(tmp_path, n_scenes=3)
+        fit_config = tmp_path / "fit.json"
+        fit_config.write_text(text)
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        assert main(["fit", str(dataset), str(fit_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid fit config")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_missing_fit_config_exits_two(self, tmp_path, capsys):
+        dataset = make_dataset_dir(tmp_path, n_scenes=3)
+        capsys.readouterr()
+        code = main(["fit", str(dataset), str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read fit config")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("delta", ["1e-100", "1e-320"])
+    def test_unresolvable_delta_exits_three_with_report(self, tmp_path, capsys, delta):
+        # the lateral term swamps the objective, whose first two values
+        # are then equal although the parameters moved
+        config = tmp_path / "scenario.json"
+        write_json(
+            config,
+            scenario_payload(pattern="follow", n_agents=3, t_fut=4, seed=1, n_scenes=20),
+        )
+        dataset = tmp_path / "dataset"
+        assert main(["generate", str(config), "--out", str(dataset)]) == 0
+        fit_config = tmp_path / "fit.json"
+        write_json(fit_config, {})
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        code = main(["fit", str(dataset), str(fit_config), "--out", str(out), "--delta-reg", delta])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fit failed: the objective does not resolve the parameters")
+        assert len(err.splitlines()) == 1
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["failure_flag"]
+        assert report["iterations_run"] == 2
+
     def test_empty_dataset_dir_exits_one(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -351,6 +459,19 @@ class TestEval:
             == 2
         )
 
+    def test_missing_ground_truth_in_directory_exits_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        pred_dir = tmp_path / "preds"
+        gt_dir = tmp_path / "gts"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        save_modes(ModeSet(modes=rng.normal(0.0, 5.0, (2, 2, 3, 2))), pred_dir / "scene_0.json")
+        capsys.readouterr()
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read evaluation input")
+        assert len(err.splitlines()) == 1
+
     def test_shape_mismatch_exits_one(self, tmp_path):
         rng = np.random.default_rng(11)
         pred_path, scene_path, _, _ = self.make_pair(tmp_path, rng)
@@ -375,8 +496,16 @@ class TestGradcheck:
         assert "max relative gradient error" in out
         assert (tmp_path / "run_manifest.json").exists()
 
-    def test_injected_bug_detected(self, tmp_path):
-        assert main(["gradcheck", "--out", str(tmp_path), "--inject-gradient-bug"]) == 4
+    def test_injected_bug_detected(self, tmp_path, monkeypatch):
+        exact = jointmotion.fit.grad_nll
+
+        def buggy(params, dataset, delta_reg):
+            grad = exact(params, dataset, delta_reg)
+            grad[:1] += 1e-3 * (1.0 + np.abs(grad[:1]))
+            return grad
+
+        monkeypatch.setattr(jointmotion.fit, "grad_nll", buggy)
+        assert main(["gradcheck", "--out", str(tmp_path)]) == 4
 
     @pytest.mark.parametrize(
         "args",
@@ -416,3 +545,74 @@ class TestGradcheck:
 
     def test_single_agent_degenerate_path(self, tmp_path):
         assert main(["gradcheck", "--out", str(tmp_path), "--n-agents", "1"]) == 0
+
+
+def _node_paths(payload, path=()):
+    """Key paths to every node of a JSON document, the root first."""
+    yield path
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            yield from _node_paths(value, path + (key,))
+    elif isinstance(payload, list):
+        for index, value in enumerate(payload):
+            yield from _node_paths(value, path + (index,))
+
+
+def _replaced(payload, path, value):
+    if not path:
+        return value
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return payload
+
+
+@pytest.fixture(scope="module")
+def small_family(tmp_path_factory):
+    """Three 2-agent, 2-step scenes with sidecars, a fit config and a mode file."""
+    root = tmp_path_factory.mktemp("family")
+    scenario = root / "scenario.json"
+    write_json(scenario, scenario_payload(pattern="follow", target_rho=0.5, t_fut=2, n_scenes=3))
+    assert main(["generate", str(scenario), "--out", str(root / "dataset")]) == 0
+    write_json(root / "fit.json", {"max_iters": 5, "learning_rate": 0.05, "delta_reg": 1e-4})
+    save_modes(ModeSet(modes=np.zeros((2, 2, 2, 2))), root / "pred.json")
+    return root
+
+
+class TestInputBoundary:
+    # eval reports a mode too large to subtract as an inf distance
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @example(target="dataset/scene_001.truth.json", node=0, value=[1, 2])
+    @given(
+        target=st.sampled_from(
+            ["dataset/scene_000.json", "dataset/scene_001.truth.json", "fit.json", "pred.json"]
+        ),
+        node=st.integers(0, 2**16),
+        value=st.sampled_from(
+            [None, "", "x", [], [1, 2], {}, {"a": 1}, True, False,
+             1e308, -1e308, -1, -0.5, 10**400]
+        ),
+    )
+    def test_any_replaced_node_ends_in_an_exit_code(self, small_family, target, node, value):
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch) / "family"
+            shutil.copytree(small_family, root)
+            path = root / target
+            payload = json.loads(path.read_text())
+            paths = list(_node_paths(payload))
+            path.write_text(json.dumps(_replaced(payload, paths[node % len(paths)], value)))
+            commands = [
+                ["fit", str(root / "dataset"), str(root / "fit.json"), "--out", str(root / "fit")],
+                ["eval", str(root / "pred.json"), str(root / "dataset" / "scene_000.json"),
+                 "--out", str(root / "metrics.csv")],
+            ]
+            for argv in commands:
+                err = io.StringIO()
+                with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3)
+                lines = err.getvalue().splitlines()
+                assert len(lines) <= 1, lines
+                assert all(line.startswith(("error:", "fit failed:")) for line in lines)

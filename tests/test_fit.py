@@ -389,6 +389,29 @@ class TestFitParameters:
         assert report.failure_flag
         assert "escalation" not in report.failure_reason
 
+    @pytest.mark.parametrize("parameterization", ["direct-rho", "relevance-head"])
+    @pytest.mark.parametrize("delta_reg", [1e-100, 1e-320, 1e8])
+    def test_unresolved_parameters_fail_instead_of_converging(self, parameterization, delta_reg):
+        # the first step moves the parameters but the objective keeps
+        # every bit, so "converged" would describe nothing
+        _, dataset = small_dataset(seed=1, n_futures=20, pattern="follow")
+        config = FitConfig(delta_reg=delta_reg, parameterization=parameterization)
+        report = fit_parameters(config, dataset)
+        assert report.failure_flag
+        assert report.failure_reason.startswith("the objective does not resolve the parameters")
+        assert report.iterations_run == 2
+        assert report.nll_trace[0] == report.nll_trace[1]
+        assert report.delta_reg_used == delta_reg
+
+    @pytest.mark.parametrize("parameterization", ["direct-rho", "relevance-head"])
+    def test_single_agent_still_converges_at_tiny_delta(self, parameterization):
+        # N = 1 has no free correlation: the parameters never move
+        _, dataset = small_dataset(seed=1, n_futures=20, pattern="follow", n_agents=1)
+        config = FitConfig(delta_reg=1e-320, parameterization=parameterization)
+        report = fit_parameters(config, dataset)
+        assert not report.failure_flag
+        assert report.iterations_run == 2
+
     def test_escalation_recovers_once_then_proceeds(self):
         _, dataset = small_dataset(seed=18, n_futures=200, n_agents=3, target=0.3)
         start = DirectRhoParams.from_rho(

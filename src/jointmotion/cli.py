@@ -11,7 +11,7 @@ artifacts and the wall-clock duration.
 Exit codes: 0 ok, 1 invalid config or shape mismatch, 2 I/O failure,
 3 fit failure, 4 gradient-check failure. A failure prints one line to
 stderr: ``error: ...``, or ``fit failed: ...`` after a fit's report is
-written.
+written. An input file that cannot be decoded is named in its line.
 
 CSV output uses '.' decimals, ',' separators, a header row and LF line
 endings, so outputs are stable for golden-file comparisons.
@@ -34,7 +34,7 @@ from . import __version__
 from .fit import FitConfig, FitDataset, fit_parameters, gradient_check, make_params
 from .gaussian import NotPositiveDefiniteError
 from .metrics import min_joint_ade, min_joint_fde
-from .scene import load_modes, load_scene, read_json, save_scene, write_json
+from .scene import json_fields, load_json, load_modes, load_scene, save_scene, write_json
 from .synthetic import ScenarioConfig, SceneTruth, generate_scenes
 
 EXIT_OK = 0
@@ -76,12 +76,16 @@ def _writing(what: str):
         raise _Failure(EXIT_IO, f"cannot write {what}: {exc}") from None
 
 
-def _read_object(path, what: str) -> dict:
+def _read_config(path, cls, what: str, **overrides):
+    """Load a config whose file values give way to the command line's
+    given (non-None) ones before it is validated."""
+    given = {key: value for key, value in overrides.items() if value is not None}
+
+    def decode(payload):
+        return cls.from_dict({**json_fields(payload, what), **given})
+
     with _reading(what):
-        payload = read_json(path)
-        if not isinstance(payload, dict):
-            raise ValueError("not a JSON object")
-    return payload
+        return load_json(path, decode)
 
 
 def _write_manifest(
@@ -105,11 +109,8 @@ def _write_manifest(
 
 def _cmd_generate(args) -> int:
     started = time.monotonic()
-    payload = _read_object(args.config, "scenario config")
-    if args.seed is not None:
-        payload["seed"] = args.seed
+    config = _read_config(args.config, ScenarioConfig, "scenario config", seed=args.seed)
     with _reading("scenario config"):
-        config = ScenarioConfig.from_dict(payload)
         # Scene rejects every non-finite result, so numpy's overflow
         # warnings would only precede the error line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -141,7 +142,7 @@ def _load_dataset_dir(dataset_dir: Path):
     for path in scene_paths:
         scenes.append(load_scene(path))
         truth_path = path.with_name(path.name[: -len(".json")] + ".truth.json")
-        candidate = SceneTruth.from_dict(read_json(truth_path))
+        candidate = load_json(truth_path, SceneTruth.from_dict)
         if truth is None:
             truth = candidate
         elif not (
@@ -158,13 +159,9 @@ def _cmd_fit(args) -> int:
     dataset_dir = Path(args.dataset)
     if not dataset_dir.is_dir():
         raise _Failure(EXIT_IO, f"dataset directory not found: {dataset_dir}")
-    payload = _read_object(args.fit_config, "fit config")
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.delta_reg is not None:
-        payload["delta_reg"] = args.delta_reg
-    with _reading("fit config"):
-        config = FitConfig.from_dict(payload)
+    config = _read_config(
+        args.fit_config, FitConfig, "fit config", seed=args.seed, delta_reg=args.delta_reg
+    )
     with _reading("dataset"):
         scenes, truth = _load_dataset_dir(dataset_dir)
         dataset = FitDataset.from_scenes(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,7 +48,7 @@ from .relevance import (
     relevance_backward,
     relevance_forward_cached,
 )
-from .scene import Scene
+from .scene import Scene, json_fields
 from .synthetic import SceneTruth, ScenarioConfig, sample_future_positions
 
 ADAM_BETA1 = 0.9
@@ -112,24 +112,11 @@ class FitConfig:
             raise ValueError("feature_dim must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_iters": self.max_iters,
-            "delta_reg": self.delta_reg,
-            "parameterization": self.parameterization,
-            "seed": self.seed,
-            "convergence_tol": self.convergence_tol,
-            "feature_dim": self.feature_dim,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FitConfig":
-        if not isinstance(payload, dict):
-            raise ValueError("fit config must be a JSON object")
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown fit config fields: {sorted(unknown)}")
-        return cls(**payload)
+        return cls(**json_fields(payload, "fit config", allowed=cls.__dataclass_fields__))
 
 
 @dataclass
@@ -148,15 +135,11 @@ class FitReport:
     def to_dict(self) -> dict:
         final = self.final_nll
         return {
+            **asdict(self),
             # strict JSON: a failed fit has no final objective value
             "final_nll": None if np.isnan(final) else float(final),
             "nll_trace": np.asarray(self.nll_trace).tolist(),
             "recovered_rho": np.asarray(self.recovered_rho).tolist(),
-            "iterations_run": self.iterations_run,
-            "delta_reg_used": self.delta_reg_used,
-            "parameterization": self.parameterization,
-            "failure_flag": self.failure_flag,
-            "failure_reason": self.failure_reason,
         }
 
 
@@ -589,10 +572,7 @@ def fit_parameters(
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     trace: List[float] = []
-    steps_taken = 0
-
-    iteration = 0
-    while iteration < config.max_iters:
+    while len(trace) < config.max_iters:
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 value, grad = params.with_vector(x).value_and_grad(dataset, delta)
@@ -609,7 +589,7 @@ def fit_parameters(
         except (FloatingPointError, DegenerateFeatureError) as exc:
             # this iterate may have no finite rho to report
             x = x_finite
-            failure_reason = f"non-finite objective at iteration {iteration}: {exc}"
+            failure_reason = f"non-finite objective at iteration {len(trace)}: {exc}"
             break
         trace.append(value)
         if len(trace) == 2 and trace[0] == trace[1] and not np.array_equal(x, x_finite):
@@ -622,13 +602,11 @@ def fit_parameters(
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:
             break
         if x.size:
-            steps_taken += 1
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - ADAM_BETA1**steps_taken)
-            v_hat = v / (1.0 - ADAM_BETA2**steps_taken)
+            m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
+            v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
             x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        iteration += 1
 
     try:
         recovered = _clipped_rho(params.with_vector(x), dataset)

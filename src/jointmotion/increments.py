@@ -82,8 +82,9 @@ class IncrementParams:
     sigma: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
+        # copies: freezing must not reach the caller's arrays
+        mu = np.array(self.mu, dtype=np.float64)
+        sigma = np.array(self.sigma, dtype=np.float64)
         if mu.ndim != 1 or sigma.shape != mu.shape or mu.size < 1:
             raise ValueError(f"mu/sigma must be matching vectors, got {mu.shape} and {sigma.shape}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
@@ -122,7 +123,7 @@ class Marginals:
         fields = {}
         n = None
         for name in ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_xy"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)  # frozen below
             if arr.ndim != 1 or arr.size < 1:
                 raise ValueError(f"{name} must be a vector, got shape {arr.shape}")
             if n is None:

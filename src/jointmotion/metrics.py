@@ -8,6 +8,7 @@ lowest mode index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -36,21 +37,28 @@ def _mode_array(pred: Union[ModeSet, np.ndarray], gt: np.ndarray):
     return modes, gt
 
 
+def _best_mode(per_mode: np.ndarray, name: str) -> MetricResult:
+    best = int(np.argmin(per_mode))
+    value = float(per_mode[best])
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {value}: every mode's displacement error overflows")
+    return MetricResult(value=value, argmin_mode=best)
+
+
 def min_joint_ade(pred: Union[ModeSet, np.ndarray], gt: np.ndarray) -> MetricResult:
     """Minimum over modes of the displacement error averaged over all
-    agents and steps."""
+    agents and steps; ValueError if the shapes disagree or every mode's
+    error overflows."""
     modes, gt = _mode_array(pred, gt)
-    distances = np.linalg.norm(modes - gt[None], axis=-1)
-    per_mode = distances.mean(axis=(1, 2))
-    best = int(np.argmin(per_mode))
-    return MetricResult(value=float(per_mode[best]), argmin_mode=best)
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_mode = np.linalg.norm(modes - gt[None], axis=-1).mean(axis=(1, 2))
+    return _best_mode(per_mode, "minJointADE")
 
 
 def min_joint_fde(pred: Union[ModeSet, np.ndarray], gt: np.ndarray) -> MetricResult:
     """Minimum over modes of the final-step displacement error averaged
-    over all agents."""
+    over all agents; raises like :func:`min_joint_ade`."""
     modes, gt = _mode_array(pred, gt)
-    distances = np.linalg.norm(modes[:, :, -1, :] - gt[None, :, -1, :], axis=-1)
-    per_mode = distances.mean(axis=1)
-    best = int(np.argmin(per_mode))
-    return MetricResult(value=float(per_mode[best]), argmin_mode=best)
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_mode = np.linalg.norm(modes[:, :, -1, :] - gt[None, :, -1, :], axis=-1).mean(axis=1)
+    return _best_mode(per_mode, "minJointFDE")

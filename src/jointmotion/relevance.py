@@ -16,11 +16,12 @@ parameters during optimization (single writer).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
+
 import numpy as np
 
 from .increments import CorrelationMatrix
+from .scene import json_fields, load_json, write_json
 
 
 class DegenerateFeatureError(ValueError):
@@ -106,17 +107,16 @@ class RelevanceHead:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RelevanceHead":
-        return cls(**{f.name: np.asarray(payload[f.name]) for f in fields(cls)})
+        names = [f.name for f in fields(cls)]
+        payload = json_fields(payload, "relevance head", names)
+        return cls(**{name: np.asarray(payload[name]) for name in names})
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "RelevanceHead":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return load_json(path, cls.from_dict)
 
 
 def _forward_cached(features: np.ndarray, head: RelevanceHead):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -20,8 +20,8 @@ PathLike = Union[str, Path]
 
 
 class SceneFormatError(ValueError):
-    """The file is not valid scene/prediction JSON (bad syntax, missing or
-    mistyped field)."""
+    """The file is not valid JSON for what it should hold (bad syntax, not
+    an object, missing, unknown or mistyped field)."""
 
 
 class SceneShapeError(ValueError):
@@ -141,19 +141,30 @@ def scenes_equal(a: Scene, b: Scene) -> bool:
     )
 
 
-def _field(payload: dict, key: str):
-    try:
-        return payload[key]
-    except KeyError:
-        raise SceneFormatError(f"missing field '{key}'") from None
+def json_fields(
+    payload, what: str, required: Iterable[str] = (), allowed: Optional[Iterable[str]] = None
+) -> dict:
+    """Return a decoded JSON value after checking that it is an object
+    with every ``required`` field and, when ``allowed`` is given, no other;
+    raises :class:`SceneFormatError` naming what is wrong."""
+    if not isinstance(payload, dict):
+        raise SceneFormatError(f"{what} JSON must be an object")
+    if allowed is not None:
+        unknown = sorted(set(payload) - set(allowed))
+        if unknown:
+            raise SceneFormatError(f"unknown {what} fields: {unknown}")
+    for key in required:
+        if key not in payload:
+            raise SceneFormatError(f"missing field '{key}'")
+    return payload
 
 
-def _shaped(value, name: str, shape: tuple) -> np.ndarray:
+def _shaped(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise SceneFormatError(f"field '{name}' is not numeric: {exc}") from None
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         raise SceneShapeError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
 
@@ -170,17 +181,14 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(payload: dict) -> Scene:
-    if not isinstance(payload, dict):
-        raise SceneFormatError("scene JSON must be an object")
-    n = _field(payload, "n")
-    t_obs = _field(payload, "t_obs")
-    t_fut = _field(payload, "t_fut")
+    payload = json_fields(payload, "scene", ("n", "t_obs", "t_fut", "past", "future", "yaw"))
+    n, t_obs, t_fut = payload["n"], payload["t_obs"], payload["t_fut"]
     for name, value in (("n", n), ("t_obs", t_obs), ("t_fut", t_fut)):
         if not isinstance(value, int) or value < 1:
             raise SceneFormatError(f"field '{name}' must be a positive integer")
-    past = _shaped(_field(payload, "past"), "past", (n, t_obs, 2))
-    future = _shaped(_field(payload, "future"), "future", (n, t_fut, 2))
-    yaw = _shaped(_field(payload, "yaw"), "yaw", (n, t_fut))
+    past = _shaped(payload["past"], "past", (n, t_obs, 2))
+    future = _shaped(payload["future"], "future", (n, t_fut, 2))
+    yaw = _shaped(payload["yaw"], "yaw", (n, t_fut))
     return Scene(past=past, future=future, yaw=yaw)
 
 
@@ -207,6 +215,23 @@ def write_json(payload, path: PathLike) -> None:
         handle.write("\n")
 
 
+def load_json(path: PathLike, decode: Callable):
+    """Decode a JSON file with ``decode``. The value errors, type errors
+    and arithmetic errors that ``decode`` raises keep their class and gain
+    the file name, so a bad file among many can be found.
+
+    Raises:
+        SceneFormatError: the file is not valid JSON.
+        OSError: the file cannot be read.
+    """
+    payload = read_json(path)
+    try:
+        return decode(payload)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_scene(path: PathLike) -> Scene:
     """Load a scene from JSON, running the same validation as the constructor.
 
@@ -216,7 +241,7 @@ def load_scene(path: PathLike) -> Scene:
         NonFiniteError: NaN or infinite entries.
         OSError: the file cannot be read.
     """
-    return scene_from_dict(read_json(path))
+    return load_json(path, scene_from_dict)
 
 
 def save_scene(scene: Scene, path: PathLike) -> None:
@@ -232,22 +257,15 @@ def modes_to_dict(modes: ModeSet) -> dict:
 
 
 def modes_from_dict(payload: dict) -> ModeSet:
-    if not isinstance(payload, dict):
-        raise SceneFormatError("prediction JSON must be an object")
-    modes = _field(payload, "modes")
-    try:
-        arr = np.asarray(modes, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SceneFormatError(f"field 'modes' is not numeric: {exc}") from None
-    if arr.ndim != 4 or arr.shape[3] != 2:
-        raise SceneShapeError(f"modes: expected (M, N, T, 2), got {arr.shape}")
+    payload = json_fields(payload, "prediction", ("modes",))
     scores = payload.get("scores")
-    return ModeSet(modes=arr, scores=None if scores is None else np.asarray(scores))
+    scores = None if scores is None else _shaped(scores, "scores")
+    return ModeSet(_shaped(payload["modes"], "modes"), scores)
 
 
 def load_modes(path: PathLike) -> ModeSet:
     """Load a multi-mode prediction from JSON."""
-    return modes_from_dict(read_json(path))
+    return load_json(path, modes_from_dict)
 
 
 def save_modes(modes: ModeSet, path: PathLike) -> None:

@@ -18,14 +18,14 @@ default base speed of 2.5 m/step corresponds to 5 m/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .increments import CorrelationMatrix, IncrementParams, InvalidCorrelationError
 from .increments import heading_vectors, wrap_angle
-from .scene import Scene
+from .scene import Scene, json_fields
 
 PATTERNS = ("follow", "yield", "independent", "mixed")
 
@@ -78,34 +78,15 @@ class ScenarioConfig:
             raise ValueError("n_scenes must be >= 1")
 
     def to_dict(self) -> dict:
-        rho = self.target_rho
-        if isinstance(rho, np.ndarray):
-            rho = rho.tolist()
-        return {
-            "pattern": self.pattern,
-            "n_agents": self.n_agents,
-            "t_obs": self.t_obs,
-            "t_fut": self.t_fut,
-            "target_rho": rho,
-            "base_speed": self.base_speed,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-            "curvature": self.curvature,
-            "heading_noise": self.heading_noise,
-            "n_scenes": self.n_scenes,
-        }
+        payload = asdict(self)
+        if isinstance(self.target_rho, np.ndarray):
+            payload["target_rho"] = self.target_rho.tolist()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
-        if not isinstance(payload, dict):
-            raise ValueError("scenario config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown scenario config fields: {sorted(unknown)}")
-        if "pattern" not in payload or "n_agents" not in payload:
-            raise ValueError("scenario config requires 'pattern' and 'n_agents'")
-        return cls(**payload)
+        required = ("pattern", "n_agents")
+        return cls(**json_fields(payload, "scenario config", required, cls.__dataclass_fields__))
 
 
 @dataclass
@@ -148,11 +129,7 @@ class SceneTruth:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SceneTruth":
-        if not isinstance(payload, dict):
-            raise ValueError("truth JSON must be an object")
-        for key in ("rho", "mu_delta", "sigma_delta"):
-            if key not in payload:
-                raise ValueError(f"missing field '{key}'")
+        payload = json_fields(payload, "truth", ("rho", "mu_delta", "sigma_delta"))
         return cls(
             rho=CorrelationMatrix(np.asarray(payload["rho"])),
             mu_delta=np.asarray(payload["mu_delta"]),

@@ -6,28 +6,6 @@ escalation, so a benchmark run reaching that seed reported
 ``correct: false``. The pass runs here at its full size (about 1.5 s).
 """
 
-import sys
-from pathlib import Path
-
-import pytest
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing under perfbench/
-    before = set(sys.modules)
-    try:
-        import workloads
-
-        yield workloads
-    finally:
-        for name in set(sys.modules) - before:
-            if (getattr(sys.modules[name], "__file__", None) or "").startswith(str(PERFBENCH)):
-                del sys.modules[name]
-
 
 def test_large_scene_pass_at_seed_303000_succeeds(workloads, tmp_path):
     ops = workloads.Ops()

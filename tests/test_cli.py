@@ -296,7 +296,7 @@ class TestFit:
         capsys.readouterr()
         assert main(["fit", str(dataset), str(fit_config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: invalid dataset: {message}\n"
+        assert err == f"error: invalid dataset: {sidecar}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -479,6 +479,34 @@ class TestEval:
         save_modes(ModeSet(modes=rng.normal(0.0, 5.0, (2, 3, 4, 2))), bad_pred)
         assert main(["eval", str(bad_pred), str(scene_path), "--out", str(tmp_path / "m.csv")]) == 1
 
+    def test_overflowing_mode_exits_one_without_csv(self, tmp_path):
+        # run as a process: numpy's overflow warnings would reach stderr
+        config = tmp_path / "config.json"
+        write_json(config, scenario_payload(n_agents=3, t_fut=3))
+        gen = tmp_path / "gen"
+        assert main(["generate", str(config), "--out", str(gen)]) == 0
+        pred = tmp_path / "pred.json"
+        huge = np.stack([np.full((3, 3, 2), 1e308), np.full((3, 3, 2), -1e308)])
+        save_modes(ModeSet(modes=huge), pred)
+        out_csv = tmp_path / "eval" / "metrics.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "jointmotion.cli", "eval", str(pred),
+             str(gen / "scene_000.json"), "--out", str(out_csv)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: invalid evaluation input: ")
+        assert not out_csv.exists()
+
     def test_csv_uses_lf_line_endings(self, tmp_path):
         rng = np.random.default_rng(12)
         pred_path, scene_path, _, _ = self.make_pair(tmp_path, rng)
@@ -487,6 +515,65 @@ class TestEval:
         raw = out_csv.read_bytes()
         assert b"\r" not in raw
         assert raw.startswith(b"scene_id,metric,value,argmin_mode\n")
+
+
+def drop(field):
+    return lambda path: write_json(
+        path, {k: v for k, v in json.loads(path.read_text()).items() if k != field}
+    )
+
+
+class TestDecodeErrorsNameTheirFile:
+    """Each bad input file is named once in the one error line, and the
+    exit code is unchanged: 1 for a malformed file, 2 for a missing one."""
+
+    @pytest.mark.parametrize(
+        "target, edit, code",
+        [
+            ("scene_001.json", drop("yaw"), 1),
+            ("scene_001.json", lambda path: path.write_text("{oops"), 1),
+            ("scene_001.truth.json", drop("rho"), 1),
+            ("scene_001.truth.json", lambda path: path.unlink(), 2),
+            ("fit.json", lambda path: write_json(path, {"moomentum": 0.9}), 1),
+            ("fit.json", lambda path: write_json(path, [1]), 1),
+            ("pred.json", drop("modes"), 1),
+            ("pred.json", lambda path: write_json(path, {"modes": [[["x"]]]}), 1),
+            ("gt.json", lambda path: write_json(path, []), 1),
+        ],
+        ids=[
+            "scene-field", "scene-syntax", "truth-field", "truth-missing",
+            "fit-config-unknown", "fit-config-list", "modes-field", "modes-text", "gt-list",
+        ],
+    )
+    def test_fit_and_eval(self, tmp_path, capsys, target, edit, code):
+        dataset = make_dataset_dir(tmp_path, n_scenes=3)
+        write_json(tmp_path / "fit.json", {"max_iters": 5})
+        save_modes(ModeSet(modes=np.zeros((2, 2, 3, 2))), tmp_path / "pred.json")
+        shutil.copy(dataset / "scene_000.json", tmp_path / "gt.json")
+        path = (dataset if target.startswith("scene") else tmp_path) / target
+        edit(path)
+        if target in ("pred.json", "gt.json"):
+            argv = ["eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json")]
+        else:
+            argv = ["fit", str(dataset), str(tmp_path / "fit.json")]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: ")
+        assert err.count(str(path)) == 1, err
+
+    @pytest.mark.parametrize(
+        "payload", [{"n_agents": 2}, {"pattern": "follow", "n_agents": 2, "colour": 1}, "x"]
+    )
+    def test_generate(self, tmp_path, capsys, payload):
+        config = tmp_path / "config.json"
+        write_json(config, payload)
+        capsys.readouterr()
+        assert main(["generate", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario config: ")
+        assert err.count(str(config)) == 1, err
 
 
 class TestGradcheck:

@@ -1,0 +1,220 @@
+"""One JSON codec for every file: scenes, modes, truth sidecars, both
+configs and the relevance head round-trip bit for bit, and a file that
+lacks a required field or holds no object fails naming the field and the
+file."""
+
+import json
+import re
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from jointmotion import (
+    CorrelationMatrix,
+    FitConfig,
+    ModeSet,
+    RelevanceHead,
+    ScenarioConfig,
+    Scene,
+    SceneFormatError,
+    SceneTruth,
+    load_modes,
+    load_scene,
+    save_modes,
+    save_scene,
+)
+from jointmotion.scene import load_json, write_json
+
+# every finite double, -0.0, subnormals and the extremes included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SIZE = st.integers(1, 3)
+
+
+def arrays(shape, elements=FINITE):
+    return hnp.arrays(np.float64, shape, elements=elements)
+
+
+@st.composite
+def scenes(draw):
+    n, t_obs, t_fut = draw(SIZE), draw(SIZE), draw(SIZE)
+    return Scene(
+        past=draw(arrays((n, t_obs, 2))),
+        future=draw(arrays((n, t_fut, 2))),
+        yaw=draw(arrays((n, t_fut), st.floats(-np.pi, np.pi, exclude_min=True))),
+    )
+
+
+@st.composite
+def mode_sets(draw, with_scores):
+    m = draw(SIZE)
+    modes = draw(arrays((m, draw(SIZE), draw(SIZE), 2)))
+    return ModeSet(modes, draw(arrays((m,))) if with_scores else None)
+
+
+@st.composite
+def truths(draw):
+    n, t_fut = draw(SIZE), draw(SIZE)
+    upper = draw(arrays((n, n), st.floats(-1.0, 1.0)))
+    rho = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
+    np.fill_diagonal(rho, 1.0)
+    return SceneTruth(
+        rho=CorrelationMatrix(rho),
+        mu_delta=draw(arrays((t_fut, n))),
+        sigma_delta=draw(arrays((t_fut, n))),
+    )
+
+
+@st.composite
+def scenario_configs(draw, matrix):
+    n = draw(SIZE)
+    nonnegative = st.floats(0.0, 1e308)
+    return ScenarioConfig(
+        pattern=draw(st.sampled_from(["follow", "yield", "independent", "mixed"])),
+        n_agents=n,
+        t_obs=draw(SIZE),
+        t_fut=draw(SIZE),
+        target_rho=draw(arrays((n, n))).tolist() if matrix else draw(FINITE),
+        base_speed=draw(st.floats(5e-324, 1e308)),
+        noise_sigma=draw(nonnegative),
+        seed=draw(st.integers(0, 2**63)),
+        curvature=draw(FINITE),
+        heading_noise=draw(nonnegative),
+        n_scenes=draw(SIZE),
+    )
+
+
+@st.composite
+def fit_configs(draw):
+    nonnegative = st.floats(0.0, 1e308)
+    return FitConfig(
+        learning_rate=draw(st.floats(5e-324, 1e308)),
+        max_iters=draw(st.integers(1, 10**6)),
+        delta_reg=draw(nonnegative),
+        parameterization=draw(st.sampled_from(["direct-rho", "relevance-head"])),
+        seed=draw(st.integers(0, 2**63)),
+        convergence_tol=draw(nonnegative),
+        feature_dim=draw(SIZE),
+    )
+
+
+@st.composite
+def heads(draw):
+    d = draw(SIZE)
+    names = ("w_query", "w_key", "w_value", "w_hidden", "b_hidden", "w_out", "b_out")
+    return RelevanceHead(*(draw(arrays((d,) if n.startswith("b_") else (d, d))) for n in names))
+
+
+@dataclass
+class Codec:
+    values: st.SearchStrategy
+    save: Callable
+    load: Callable
+    arrays: Callable  # every float the value holds, as arrays
+    required: Optional[str]  # a field the decoder cannot do without
+
+
+def save_dict(value, path):
+    write_json(value.to_dict(), path)
+
+
+def scenario_floats(config):
+    names = ("base_speed", "noise_sigma", "curvature", "heading_noise")
+    return [np.array([getattr(config, name) for name in names]), np.array(config.target_rho)]
+
+
+def fit_floats(config):
+    names = ("learning_rate", "delta_reg", "convergence_tol")
+    return [np.array([getattr(config, name) for name in names])]
+
+
+CODECS = {
+    "scene": Codec(scenes(), save_scene, load_scene, lambda s: [s.past, s.future, s.yaw], "yaw"),
+    "modes": Codec(
+        mode_sets(with_scores=False), save_modes, load_modes, lambda m: [m.modes], "modes"
+    ),
+    "modes-scores": Codec(
+        mode_sets(with_scores=True),
+        save_modes,
+        load_modes,
+        lambda m: [m.modes, m.scores],
+        "modes",
+    ),
+    "truth": Codec(
+        truths(),
+        save_dict,
+        lambda path: load_json(path, SceneTruth.from_dict),
+        lambda t: [t.rho.rho, t.mu_delta, t.sigma_delta],
+        "mu_delta",
+    ),
+    "scenario-scalar-rho": Codec(
+        scenario_configs(matrix=False),
+        save_dict,
+        lambda path: load_json(path, ScenarioConfig.from_dict),
+        scenario_floats,
+        "n_agents",
+    ),
+    "scenario-matrix-rho": Codec(
+        scenario_configs(matrix=True),
+        save_dict,
+        lambda path: load_json(path, ScenarioConfig.from_dict),
+        scenario_floats,
+        "pattern",
+    ),
+    "fit-config": Codec(
+        fit_configs(),
+        save_dict,
+        lambda path: load_json(path, FitConfig.from_dict),
+        fit_floats,
+        None,  # every field has a default
+    ),
+    "relevance-head": Codec(
+        heads(),
+        RelevanceHead.save,
+        RelevanceHead.load,
+        lambda h: [h.pack()],
+        "w_value",
+    ),
+}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+@settings(
+    max_examples=40,
+    deadline=None,
+    # each example overwrites the same two files
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_round_trip_is_bit_exact_and_bad_payloads_name_field_and_file(tmp_path, name, data):
+    codec = CODECS[name]
+    value = data.draw(codec.values)
+    path = tmp_path / f"{name}.json"
+    codec.save(value, path)
+    loaded = codec.load(path)
+    assert type(loaded) is type(value)
+    for before, after in zip(codec.arrays(value), codec.arrays(loaded), strict=True):
+        assert same_bits(before, after)
+    again = tmp_path / f"{name}.again.json"
+    codec.save(loaded, again)  # the other fields too
+    assert again.read_bytes() == path.read_bytes()
+
+    bad = tmp_path / "bad.json"
+    if codec.required is not None:
+        payload = json.loads(path.read_text())
+        del payload[codec.required]
+        bad.write_text(json.dumps(payload))
+        message = re.escape(f"{bad}: missing field '{codec.required}'")
+        with pytest.raises(SceneFormatError, match=message):
+            codec.load(bad)
+    bad.write_text(json.dumps(data.draw(st.sampled_from([[], [1, 2], "x", 1.5, None]))))
+    with pytest.raises(SceneFormatError, match=re.escape(f"{bad}: ") + ".*must be an object"):
+        codec.load(bad)

@@ -137,3 +137,19 @@ class TestValidation:
             min_joint_ade(np.zeros((2, 2, 3, 2)), np.zeros((2, 4, 2)))
         with pytest.raises(ValueError):
             min_joint_fde(np.zeros((2, 2, 3, 1)), np.zeros((2, 3, 2)))
+
+    @pytest.mark.parametrize("metric", [min_joint_ade, min_joint_fde])
+    def test_overflowing_modes_rejected(self, metric):
+        gt = np.zeros((3, 3, 2))
+        modes = np.stack([np.full((3, 3, 2), 1e308), np.full((3, 3, 2), -1e308)])
+        with np.errstate(all="raise"):  # no floating-point warning escapes
+            with pytest.raises(ValueError, match="inf"):
+                metric(modes, gt)
+
+    @pytest.mark.parametrize("metric", [min_joint_ade, min_joint_fde])
+    def test_one_finite_mode_still_scores(self, metric):
+        gt = np.zeros((3, 3, 2))
+        modes = np.stack([np.full((3, 3, 2), 1e308), np.full((3, 3, 2), 3.0)])
+        with np.errstate(all="raise"):
+            result = metric(modes, gt)
+        assert result == MetricResult(value=float(np.hypot(3.0, 3.0)), argmin_mode=1)

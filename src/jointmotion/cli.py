@@ -203,7 +203,8 @@ def _cmd_fit(args) -> int:
 
 
 def _eval_pairs(pred_path: Path, gt_path: Path):
-    """Yield (scene_id, ModeSet, gt_future) for file or directory inputs."""
+    """Yield (prediction file name, ModeSet, gt_future) for file or
+    directory inputs."""
     if pred_path.is_dir() != gt_path.is_dir():
         raise ValueError("prediction and ground-truth paths must both be files or both dirs")
     if pred_path.is_dir():
@@ -211,9 +212,9 @@ def _eval_pairs(pred_path: Path, gt_path: Path):
         if not names:
             raise ValueError(f"no prediction files in {pred_path}")
         for name in names:
-            yield Path(name).stem, load_modes(pred_path / name), load_scene(gt_path / name).future
+            yield name, load_modes(pred_path / name), load_scene(gt_path / name).future
     else:
-        yield pred_path.stem, load_modes(pred_path), load_scene(gt_path).future
+        yield pred_path.name, load_modes(pred_path), load_scene(gt_path).future
 
 
 def _cmd_eval(args) -> int:
@@ -227,9 +228,14 @@ def _cmd_eval(args) -> int:
     ade_values = []
     fde_values = []
     with _reading("evaluation input"):
-        for scene_id, modes, gt in _eval_pairs(pred_path, gt_path):
-            ade = min_joint_ade(modes, gt)
-            fde = min_joint_fde(modes, gt)
+        for name, modes, gt in _eval_pairs(pred_path, gt_path):
+            try:
+                ade = min_joint_ade(modes, gt)
+                fde = min_joint_fde(modes, gt)
+            except ValueError as exc:
+                # in a directory of many pairs, say which one is bad
+                raise ValueError(f"{name}: {exc}") from None
+            scene_id = Path(name).stem
             rows.append([scene_id, "minJointADE", repr(ade.value), ade.argmin_mode])
             rows.append([scene_id, "minJointFDE", repr(fde.value), fde.argmin_mode])
             ade_values.append(ade.value)

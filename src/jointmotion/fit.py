@@ -35,8 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .gaussian import LOG_TWO_PI, NotPositiveDefiniteError
 from .increments import IncrementParams, Marginals, heading_vectors, pair_count, projected_marginals
@@ -459,6 +458,27 @@ class RelevanceParams:
 FitParams = Union[DirectRhoParams, RelevanceParams]
 
 
+def solve_triangular(lower: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve L x = rhs (``trans`` 0) or L^T x = rhs (``trans`` 1) for a
+    lower-triangular ``dpotrf`` factor L.
+
+    LAPACK ``dtrtrs`` is called as ``scipy.linalg.solve_triangular(L,
+    rhs, lower=True, trans=trans)`` calls it for a Fortran-ordered L, so
+    the result is bit-identical, but without that wrapper's per-call input
+    checks: the caller checks its own result for finiteness.
+
+    Raises:
+        numpy.linalg.LinAlgError: L has a zero diagonal entry.
+    """
+    x, info = dtrtrs(lower, rhs, lower=1, trans=trans)
+    if info != 0:
+        # the fixed arguments rule out info < 0 (an illegal argument)
+        raise np.linalg.LinAlgError(
+            f"singular triangular factor: zero diagonal at index {info - 1}"
+        )
+    return x
+
+
 def _nll_over_rho(
     rho: np.ndarray, dataset: FitDataset, delta_reg: float, want_grad: bool
 ) -> Tuple[float, Optional[np.ndarray]]:
@@ -475,7 +495,8 @@ def _nll_over_rho(
     to rho[t, i, j] alone (zero diagonal). The derivative of the pair
     scalar shared by (i, j) and (j, i) is the sum of the two entries.
 
-    Raises FloatingPointError when a step covariance is not finite.
+    Raises FloatingPointError when a step covariance, or the gradient at
+    a step, is not finite.
     """
     n = dataset.n_agents
     if delta_reg <= 0.0:
@@ -497,17 +518,22 @@ def _nll_over_rho(
             raise StepFactorizationError(step=t, pivot=info - 1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
-        log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
+        log_det = 2.0 * float(np.log(lower.diagonal()).sum())
         # whitened scatter W = L^-1 S L^-T, so tr(A^-1 S) = tr(W)
-        half = solve_triangular(lower, dataset.scatter[t], lower=True)
-        white = solve_triangular(lower, half.T, lower=True)
-        value += 0.5 * (log_det + float(np.trace(white)) + float(rho_free[t]))
+        half = solve_triangular(lower, dataset.scatter[t])
+        white = solve_triangular(lower, half.T)
+        value += 0.5 * (log_det + float(white.trace()) + float(rho_free[t]))
         if want_grad:
             # A^-1 - A^-1 S A^-1 = L^-T (I - W) L^-1, by triangular solves only
-            left = solve_triangular(lower, eye - white, lower=True, trans="T")
-            grad_cov = solve_triangular(lower, left.T, lower=True, trans="T")
+            left = solve_triangular(lower, eye - white, trans=1)
+            grad_cov = solve_triangular(lower, left.T, trans=1)
             d_rho[t] = 0.5 * sigma[t][:, None] * grad_cov * sigma[t][None, :]
-            np.fill_diagonal(d_rho[t], 0.0)
+    if want_grad:
+        diagonal = np.arange(n)
+        d_rho[:, diagonal, diagonal] = 0.0
+        finite = np.isfinite(d_rho).all(axis=(1, 2))
+        if not finite.all():
+            raise FloatingPointError(f"gradient at future step {np.argmin(finite)} is not finite")
     return value, d_rho
 
 
@@ -551,11 +577,11 @@ def fit_parameters(
     positive semidefinite correlations, so with delta_reg > 0 only an
     ``initial`` warm start from an indefinite rho (a tanh
     :class:`DirectRhoParams`) fails to factor, or rounding when delta_reg
-    is too small to absorb it. A non-finite covariance or objective, or a
-    zero-norm feature row of the relevance head, aborts the same way
-    without escalation; the report then describes the last iterate whose
-    objective was finite (its ``recovered_rho`` is NaN when even the
-    first iterate has no correlations). A first step that moves the
+    is too small to absorb it. A non-finite covariance, objective or
+    gradient, or a zero-norm feature row of the relevance head, aborts
+    the same way without escalation; the report then describes the last
+    iterate whose objective was finite (its ``recovered_rho`` is NaN when
+    even the first iterate has no correlations). A first step that moves the
     parameters but leaves the objective bit-for-bit unchanged also
     aborts, since the objective cannot resolve the parameters at that
     delta_reg: a tiny one lets the lateral term swamp it, a huge one the

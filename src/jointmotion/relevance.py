@@ -16,6 +16,7 @@ parameters during optimization (single writer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -92,12 +93,12 @@ class RelevanceHead:
         vector = np.asarray(vector, dtype=np.float64)
         d = feature_dim
         shapes = [(d, d), (d, d), (d, d), (d, d), (d,), (d, d), (d,)]
-        if vector.shape != (sum(int(np.prod(s)) for s in shapes),):
+        if vector.shape != (sum(math.prod(s) for s in shapes),):
             raise ValueError(f"parameter vector has wrong length {vector.shape}")
         parts = []
         offset = 0
         for shape in shapes:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             parts.append(vector[offset : offset + size].reshape(shape))
             offset += size
         return cls(*parts)

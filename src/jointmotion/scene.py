@@ -127,10 +127,6 @@ class ModeSet:
             _require_finite(scores, "scores")
             object.__setattr__(self, "scores", _freeze(scores))
 
-    @property
-    def n_modes(self) -> int:
-        return self.modes.shape[0]
-
 
 def scenes_equal(a: Scene, b: Scene) -> bool:
     """Exact (bitwise) equality of all numeric fields."""
@@ -193,16 +189,21 @@ def scene_from_dict(payload: dict) -> Scene:
 
 
 def read_json(path: PathLike):
-    """Parse a JSON file.
+    """Parse a strict JSON file, as :func:`write_json` writes them.
 
     Raises:
-        SceneFormatError: the file is not valid JSON, or nests deeper
-            than the decoder's recursion limit.
+        SceneFormatError: the file is not valid JSON, holds a ``NaN``,
+            ``Infinity`` or ``-Infinity`` token, or nests deeper than the
+            decoder's recursion limit.
         OSError: the file cannot be read.
     """
+
+    def reject(token):
+        raise SceneFormatError(f"{path}: {token} is not a JSON number")
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, parse_constant=reject)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise SceneFormatError(f"{path}: {exc}") from None
 

@@ -275,6 +275,26 @@ class TestFit:
         assert len(lines) == 1, result.stderr
         assert lines[0].startswith("fit failed: non-finite objective at iteration 1")
 
+    def test_non_finite_gradient_exits_three_with_report(self, tmp_path, capsys):
+        # the objective stays finite at these scales; its gradient overflows
+        dataset = make_dataset_dir(tmp_path, n_scenes=20)
+        for sidecar in dataset.glob("*.truth.json"):
+            truth = json.loads(sidecar.read_text())
+            truth["sigma_delta"] = [[1e-155] * len(row) for row in truth["sigma_delta"]]
+            write_json(sidecar, truth)
+        fit_config = tmp_path / "fit.json"
+        write_json(fit_config, {"delta_reg": 1e-300, "max_iters": 3})
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["fit", str(dataset), str(fit_config), "--out", str(out)])
+        assert code == 3
+        reason = "non-finite objective at iteration 0: gradient at future step 0 is not finite"
+        assert capsys.readouterr().err == f"fit failed: {reason}\n"
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["failure_reason"] == reason
+        assert report["iterations_run"] == 0
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -472,6 +492,32 @@ class TestEval:
         assert err.startswith("error: cannot read evaluation input")
         assert len(err.splitlines()) == 1
 
+    def test_directory_mode_names_the_mismatched_pair(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        pred_dir = tmp_path / "preds"
+        gt_dir = tmp_path / "gts"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        from jointmotion import ScenarioConfig, generate_scene
+
+        for index in range(3):
+            scene, _ = generate_scene(
+                ScenarioConfig(pattern="independent", n_agents=2, t_obs=2, t_fut=3, seed=index)
+            )
+            save_scene(scene, gt_dir / f"scene_{index}.json")
+            n_agents = 3 if index == 1 else 2
+            save_modes(
+                ModeSet(modes=rng.normal(0.0, 5.0, (4, n_agents, 3, 2))),
+                pred_dir / f"scene_{index}.json",
+            )
+        out_csv = tmp_path / "metrics.csv"
+        capsys.readouterr()
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out_csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid evaluation input: scene_1.json: ground truth shape")
+        assert len(err.splitlines()) == 1
+        assert not out_csv.exists()
+
     def test_shape_mismatch_exits_one(self, tmp_path):
         rng = np.random.default_rng(11)
         pred_path, scene_path, _, _ = self.make_pair(tmp_path, rng)
@@ -532,6 +578,8 @@ class TestDecodeErrorsNameTheirFile:
         [
             ("scene_001.json", drop("yaw"), 1),
             ("scene_001.json", lambda path: path.write_text("{oops"), 1),
+            ("scene_001.json", lambda path: path.write_text(
+                json.dumps({**json.loads(path.read_text()), "n": float("nan")})), 1),
             ("scene_001.truth.json", drop("rho"), 1),
             ("scene_001.truth.json", lambda path: path.unlink(), 2),
             ("fit.json", lambda path: write_json(path, {"moomentum": 0.9}), 1),
@@ -541,7 +589,7 @@ class TestDecodeErrorsNameTheirFile:
             ("gt.json", lambda path: write_json(path, []), 1),
         ],
         ids=[
-            "scene-field", "scene-syntax", "truth-field", "truth-missing",
+            "scene-field", "scene-syntax", "scene-nan", "truth-field", "truth-missing",
             "fit-config-unknown", "fit-config-list", "modes-field", "modes-text", "gt-list",
         ],
     )

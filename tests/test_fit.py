@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from jointmotion import (
     CorrelationMatrix,
@@ -30,6 +32,7 @@ from jointmotion.fit import (
     make_params,
     nll_objective,
     relative_gradient_errors,
+    solve_triangular,
 )
 from jointmotion.relevance import RelevanceHead
 
@@ -50,6 +53,19 @@ def small_dataset(
         curvature=curvature,
     )
     return config, FitDataset.from_config(config, n_futures=n_futures)
+
+
+def tiny_sigma_dataset():
+    """At delta_reg 1e-300 its objective is finite but its gradient is not:
+    the whitened scatter is about 1e300, and one more solve overflows."""
+    _, dataset = small_dataset()
+    return FitDataset(
+        current=dataset.current,
+        theta=dataset.theta,
+        mu_delta=dataset.mu_delta,
+        sigma_delta=np.full_like(dataset.sigma_delta, 1e-155),
+        futures=dataset.futures,
+    )
 
 
 def split_dataset(dataset, boundary):
@@ -166,6 +182,36 @@ class TestObjective:
             nll_objective(params, dataset, 0.0)
         assert excinfo.value.step == 0
         assert "step 0" in str(excinfo.value)
+
+    def test_non_finite_gradient_raises_naming_step(self):
+        dataset = tiny_sigma_dataset()
+        params = UnitRowRhoParams.zeros(dataset.t_fut, dataset.n_agents)
+        assert np.isfinite(nll_objective(params, dataset, 1e-300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="gradient at future step 0 is not finite"):
+                grad_nll(params, dataset, 1e-300)
+
+
+class TestSolveTriangular:
+    """The fit's direct LAPACK solve against scipy's checked wrapper."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 64])
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_equal_to_scipy_on_cholesky_factors(self, n, trans, order):
+        rng = np.random.default_rng(n)
+        root = rng.normal(size=(n, n))
+        lower, info = dpotrf(root @ root.T + n * np.eye(n), lower=1, clean=1)
+        assert info == 0
+        rhs = np.asarray(rng.normal(size=(n, n)), order=order)
+        expected = scipy.linalg.solve_triangular(lower, rhs, lower=True, trans=trans)
+        assert np.array_equal(solve_triangular(lower, rhs, trans=trans), expected)
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_zero_diagonal_raises(self, trans):
+        lower = np.asfortranarray([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 3.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="zero diagonal at index 1"):
+            solve_triangular(lower, np.ones((3, 3)), trans=trans)
 
 
 class TestGradients:
@@ -411,6 +457,18 @@ class TestFitParameters:
         report = fit_parameters(config, dataset)
         assert not report.failure_flag
         assert report.iterations_run == 2
+
+    def test_non_finite_gradient_ends_the_fit_with_a_report(self):
+        config = FitConfig(delta_reg=1e-300, max_iters=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = fit_parameters(config, tiny_sigma_dataset())
+        assert report.failure_flag
+        assert report.failure_reason == (
+            "non-finite objective at iteration 0: gradient at future step 0 is not finite"
+        )
+        assert report.iterations_run == 0
+        assert report.delta_reg_used == 1e-300  # not escalated
+        assert np.all(np.isfinite(report.recovered_rho))
 
     def test_escalation_recovers_once_then_proceeds(self):
         _, dataset = small_dataset(seed=18, n_futures=200, n_agents=3, target=0.3)

@@ -112,6 +112,16 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_first_pivot_failure_reports_pivot_zero(self):
+        with pytest.raises(NotPositiveDefiniteError) as excinfo:
+            cholesky_factor(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+        assert excinfo.value.pivot == 0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            cholesky_factor(np.zeros(shape))
+
 
 class TestSceneNll:
     def test_identity_cov_at_mean(self):

@@ -218,3 +218,23 @@ def test_round_trip_is_bit_exact_and_bad_payloads_name_field_and_file(tmp_path, 
     bad.write_text(json.dumps(data.draw(st.sampled_from([[], [1, 2], "x", 1.5, None]))))
     with pytest.raises(SceneFormatError, match=re.escape(f"{bad}: ") + ".*must be an object"):
         codec.load(bad)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", ["relevance-head", "scene"])
+def test_non_finite_tokens_are_rejected_naming_the_file(tmp_path, kind, value):
+    # json.dumps writes these as NaN, Infinity and -Infinity, which
+    # write_json never does
+    path = tmp_path / f"{kind}.json"
+    if kind == "scene":
+        payload = {"n": 1, "t_obs": 1, "t_fut": 1, "past": [[[0.0, 0.0]]],
+                   "future": [[[value, 0.0]]], "yaw": [[0.0]]}
+        load = load_scene
+    else:
+        payload = RelevanceHead.initialize(2, seed=0).to_dict()
+        payload["w_key"][0][0] = value
+        load = RelevanceHead.load
+    path.write_text(json.dumps(payload))
+    token = json.dumps(value)
+    with pytest.raises(SceneFormatError, match=re.escape(f"{path}: {token} is not a JSON number")):
+        load(path)

@@ -70,6 +70,14 @@ class TestSceneValidation:
                 yaw=[[4.0, 0.0, 0.0]],
             )
 
+    def test_future_with_three_coordinates_rejected(self):
+        with pytest.raises(SceneShapeError, match="future"):
+            Scene(
+                past=[[[0.0, 0.0], [1.0, 0.0]]],
+                future=[[[2.0, 0.0, 0.0]]],
+                yaw=[[0.0]],
+            )
+
     def test_arrays_read_only(self):
         scene = minimal_scene()
         with pytest.raises(ValueError):
@@ -99,16 +107,12 @@ class TestSceneRoundTrip:
             save_scene(minimal_scene(), tmp_path)  # directory, not a file
 
     def test_loaded_scene_passes_constructor_validation(self, tmp_path):
+        # strict JSON has no NaN token, but 1e400 parses to infinity
         path = tmp_path / "bad.json"
-        payload = {
-            "n": 1,
-            "t_obs": 2,
-            "t_fut": 1,
-            "past": [[[0.0, 0.0], [1.0, 0.0]]],
-            "future": [[[float("nan"), 0.0]]],
-            "yaw": [[0.0]],
-        }
-        path.write_text(json.dumps(payload))
+        path.write_text(
+            '{"n": 1, "t_obs": 2, "t_fut": 1, "past": [[[0.0, 0.0], [1.0, 0.0]]],'
+            ' "future": [[[1e400, 0.0]]], "yaw": [[0.0]]}'
+        )
         with pytest.raises(NonFiniteError):
             load_scene(path)
 

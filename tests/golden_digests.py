@@ -3,7 +3,9 @@
 Every digest covers a fixed, seeded input grid: the synthetic sampler,
 the fit statistics, short fits with both parameterizations, the heading
 and sign-pattern constructions over random and axis-aligned headings,
-and the bytes the ``generate`` and ``fit`` commands write. Rounding
+the joint Gaussian's factor, likelihoods and draws, the bytes the
+``generate`` and ``fit`` commands write, and the bytes ``write_json``
+writes for an edge-case payload. Rounding
 order is part of the contract, so a change that reorders one
 floating-point sum changes a digest.
 
@@ -30,8 +32,10 @@ import scipy
 from jointmotion import (
     CorrelationMatrix,
     IncrementParams,
+    JointGaussian,
     ModeSet,
     assemble_joint,
+    cholesky_factor,
     equivalence_check,
     estimate_yaw,
     load_modes,
@@ -40,7 +44,11 @@ from jointmotion import (
     project_increments,
     projected_marginals,
     reconstruct_cross_correlations,
+    sample_joint,
     save_modes,
+    scene_nll,
+    tikhonov_regularize,
+    trajectory_nll,
     yaw_from_displacements,
 )
 from jointmotion.cli import main as cli_main
@@ -51,6 +59,7 @@ from jointmotion.fit import (
     UnitRowRhoParams,
     fit_parameters,
 )
+from jointmotion.scene import write_json
 from jointmotion.synthetic import (
     ScenarioConfig,
     generate_scenes,
@@ -68,6 +77,24 @@ N_FUTURES = 32
 FIT_ITERS = 15
 DELTAS = (1e-4, 1e-2)
 AXIS_HEADINGS = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 4, -np.pi / 4)
+SAMPLE_SEEDS = (0, 1, 7, 2**40)
+# every kind of value json.dumps accepts, at the edges of float repr
+EDGE_PAYLOAD = {
+    "floats": [-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, 0.1, -2.5, 1.0],
+    "numpy": [np.float64(0.1), np.float64(-0.0)],
+    "scalar": np.float64(1e-300),
+    "ints": [0, -1, 2**64, -(2**100)],
+    "mixed": [1.5, 2, True, None, "x"],
+    "bools": [True, False],
+    "none": None,
+    "empty": [[], {}, [[]], [{}]],
+    "tuple": (1.0, (2.0, -0.0), "t"),
+    "text": 'a "quoted" \\ line\nnaïve ☃ \U0001f600 \x00',
+    7: "int key",
+    2.5: "float key",
+    False: "bool key",
+    None: "null key",
+}
 
 
 def environment() -> dict:
@@ -217,6 +244,43 @@ def _heading_digests(out: dict) -> None:
     )
 
 
+def _gaussian_digests(out: dict) -> None:
+    """Factors, likelihoods and draws of random joints and of a projected,
+    regularized one."""
+    rng = np.random.default_rng(31)
+    dists = []
+    for dim in (2, 6, 16):
+        root = rng.normal(0.0, 1.0, (dim, dim))
+        dists.append(
+            JointGaussian(rng.normal(0.0, 5.0, dim), root @ root.T + 0.5 * np.eye(dim))
+        )
+    n = 5
+    theta = np.array(AXIS_HEADINGS[:n])
+    inc = IncrementParams(mu=rng.uniform(0.0, 5.0, n), sigma=rng.uniform(0.1, 2.0, n))
+    corr = CorrelationMatrix(np.full((n, n), 0.3) + 0.7 * np.eye(n))
+    joint = project_increments(inc, corr, theta, rng.uniform(-30.0, 30.0, (n, 2)))
+    dists.append(JointGaussian(joint.mean, tikhonov_regularize(joint.cov, 1e-4)))
+    for index, dist in enumerate(dists):
+        key = f"gaussian/{index}-dim{dist.dim}"
+        factor = cholesky_factor(dist.cov)
+        out[f"{key}/cholesky_factor"] = digest(factor.lower, [factor.log_det])
+        observations = dist.mean + rng.normal(0.0, 2.0, (3, dist.dim))
+        out[f"{key}/nll"] = digest(
+            [scene_nll(dist, row) for row in observations],
+            [trajectory_nll([dist] * 3, observations), scene_nll(dist, dist.mean)],
+        )
+        out[f"{key}/sample_joint"] = digest(
+            *[sample_joint(dist, seed, 4) for seed in SAMPLE_SEEDS]
+        )
+
+
+def _writer_digests(out: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edge.json"
+        write_json(EDGE_PAYLOAD, path)
+        out["scene/write_json/edge"] = hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _cli_digests(out: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -275,6 +339,8 @@ def compute_digests() -> dict:
     _params_digests(out)
     _heading_digests(out)
     _yaw_error_digests(out)
+    _gaussian_digests(out)
+    _writer_digests(out)
     _cli_digests(out)
     return out
 

@@ -68,7 +68,6 @@ from .scene import (
     load_scene,
     save_modes,
     save_scene,
-    scenes_equal,
 )
 from .synthetic import (
     ScenarioConfig,

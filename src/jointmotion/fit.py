@@ -35,9 +35,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf
 
-from .gaussian import LOG_TWO_PI, NotPositiveDefiniteError
+from .gaussian import LOG_TWO_PI, NotPositiveDefiniteError, solve_triangular
 from .increments import IncrementParams, Marginals, heading_vectors, pair_count, projected_marginals
 from .relevance import (
     DegenerateFeatureError,
@@ -456,27 +456,6 @@ class RelevanceParams:
 
 
 FitParams = Union[DirectRhoParams, RelevanceParams]
-
-
-def solve_triangular(lower: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve L x = rhs (``trans`` 0) or L^T x = rhs (``trans`` 1) for a
-    lower-triangular ``dpotrf`` factor L.
-
-    LAPACK ``dtrtrs`` is called as ``scipy.linalg.solve_triangular(L,
-    rhs, lower=True, trans=trans)`` calls it for a Fortran-ordered L, so
-    the result is bit-identical, but without that wrapper's per-call input
-    checks: the caller checks its own result for finiteness.
-
-    Raises:
-        numpy.linalg.LinAlgError: L has a zero diagonal entry.
-    """
-    x, info = dtrtrs(lower, rhs, lower=1, trans=trans)
-    if info != 0:
-        # the fixed arguments rule out info < 0 (an illegal argument)
-        raise np.linalg.LinAlgError(
-            f"singular triangular factor: zero diagonal at index {info - 1}"
-        )
-    return x
 
 
 def _nll_over_rho(

@@ -10,11 +10,11 @@ Cholesky factor (triangular solves), never an explicit inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
@@ -91,6 +91,13 @@ class JointGaussian:
     def n_agents(self) -> int:
         return self.mean.size // 2
 
+    @cached_property
+    def factor(self) -> "CholeskyFactor":
+        """The covariance's Cholesky factor, computed on first use; the
+        covariance is read-only, so it never goes stale. A covariance that
+        is not positive definite raises on every access."""
+        return cholesky_factor(self.cov)
+
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
@@ -127,21 +134,49 @@ def cholesky_factor(cov: np.ndarray) -> CholeskyFactor:
     return CholeskyFactor(lower=lower, log_det=log_det)
 
 
+def solve_triangular(lower: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve L x = rhs (``trans`` 0) or L^T x = rhs (``trans`` 1) for a
+    lower-triangular ``dpotrf`` factor L.
+
+    LAPACK ``dtrtrs`` is called as ``scipy.linalg.solve_triangular(L,
+    rhs, lower=True, trans=trans)`` calls it for a Fortran-ordered L, so
+    the result is bit-identical, but without that wrapper's per-call input
+    checks: callers check finiteness themselves.
+
+    Raises:
+        numpy.linalg.LinAlgError: L has a zero diagonal entry.
+    """
+    x, info = dtrtrs(lower, rhs, lower=1, trans=trans)
+    if info != 0:
+        # the fixed arguments rule out info < 0 (an illegal argument)
+        raise np.linalg.LinAlgError(
+            f"singular triangular factor: zero diagonal at index {info - 1}"
+        )
+    return x
+
+
 def scene_nll(dist: JointGaussian, observation: np.ndarray) -> float:
     """Negative log-likelihood of one observed step under the joint Gaussian.
 
     Returns 0.5 * [ln|S| + (f - m)^T S^-1 (f - m) + 2N ln(2 pi)] for a
     single step. The covariance must be positive definite; regularize
     first if it is not.
+
+    Raises:
+        NotPositiveDefiniteError: the covariance cannot be factored.
+        ValueError: the observation has the wrong shape, or it or its
+            residual from the mean is not finite.
     """
     observation = np.asarray(observation, dtype=np.float64)
     if observation.shape != (dist.dim,):
         raise ValueError(
             f"observation shape {observation.shape} does not match dimension {dist.dim}"
         )
-    factor = cholesky_factor(dist.cov)
+    factor = dist.factor
     residual = observation - dist.mean
-    white = solve_triangular(factor.lower, residual, lower=True)
+    if not np.all(np.isfinite(residual)):
+        raise ValueError("observation minus mean is not finite")
+    white = solve_triangular(factor.lower, residual)
     quad = float(white @ white)
     return 0.5 * (factor.log_det + quad + dist.dim * LOG_TWO_PI)
 
@@ -173,7 +208,7 @@ def sample_joint(dist: JointGaussian, seed: int, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    factor = cholesky_factor(dist.cov)
+    factor = dist.factor
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, dist.dim))
     return dist.mean + z @ factor.lower.T

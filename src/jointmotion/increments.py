@@ -22,8 +22,6 @@ import numpy as np
 
 from .gaussian import JointGaussian
 
-ONES_2X2 = np.ones((2, 2))
-
 
 class InvalidCorrelationError(ValueError):
     """A matrix violates the correlation-matrix invariants."""
@@ -275,7 +273,7 @@ def project_increments(
         )
     trig = heading_vectors(theta).reshape(-1)
     scaled = trig * np.repeat(inc.sigma, 2)
-    cov = np.outer(scaled, scaled) * np.kron(corr.rho, ONES_2X2)
+    cov = np.outer(scaled, scaled) * corr.rho.repeat(2, 0).repeat(2, 1)
     mean = current.reshape(-1) + trig * np.repeat(inc.mu, 2)
     return JointGaussian(mean=mean, cov=cov)
 
@@ -328,7 +326,7 @@ def assemble_joint(
     sigma[0::2] = marg.sigma_x
     sigma[1::2] = marg.sigma_y
     signed_sigma = np.sign(heading_vectors(theta).reshape(-1)) * sigma
-    cov = np.outer(signed_sigma, signed_sigma) * np.kron(corr.rho, ONES_2X2)
+    cov = np.outer(signed_sigma, signed_sigma) * corr.rho.repeat(2, 0).repeat(2, 1)
     x, y = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
     cross = marg.rho_xy * marg.sigma_x * marg.sigma_y
     cov[x, x] = marg.sigma_x * marg.sigma_x

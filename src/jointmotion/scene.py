@@ -10,7 +10,9 @@ and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
@@ -128,15 +130,6 @@ class ModeSet:
             object.__setattr__(self, "scores", _freeze(scores))
 
 
-def scenes_equal(a: Scene, b: Scene) -> bool:
-    """Exact (bitwise) equality of all numeric fields."""
-    return (
-        np.array_equal(a.past, b.past)
-        and np.array_equal(a.future, b.future)
-        and np.array_equal(a.yaw, b.yaw)
-    )
-
-
 def json_fields(
     payload, what: str, required: Iterable[str] = (), allowed: Optional[Iterable[str]] = None
 ) -> dict:
@@ -208,12 +201,71 @@ def read_json(path: PathLike):
             raise SceneFormatError(f"{path}: {exc}") from None
 
 
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = _json_text(key, "")
+    return encode_basestring_ascii(key)
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
+    it at the nesting level whose line break and indent is ``indent``."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        try:
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            text = None
+        # no finite float's repr holds an "n"; _float_text rejects nan and inf
+        if text is None or "n" in text:
+            text = ("," + inner).join([_json_text(item, inner) for item in value])
+        return "[" + inner + text + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_key_text(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def write_json(payload, path: PathLike) -> None:
     """Write strict JSON (no NaN or infinity), indented, with a final
-    newline; floats keep full round-trip precision."""
+    newline; floats keep full round-trip precision.
+
+    The bytes are those of ``json.dumps(payload, indent=2,
+    allow_nan=False)`` plus the newline, written in one call. The text is
+    built before the file is opened, so a payload that cannot be encoded
+    (``ValueError`` for a NaN or infinity, ``TypeError`` for another
+    type) leaves no file, or the existing one unchanged.
+    """
+    text = _json_text(payload, "\n") + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, allow_nan=False)
-        handle.write("\n")
+        handle.write(text)
 
 
 def load_json(path: PathLike, decode: Callable):

@@ -32,8 +32,8 @@ from jointmotion.fit import (
     make_params,
     nll_objective,
     relative_gradient_errors,
-    solve_triangular,
 )
+from jointmotion.gaussian import solve_triangular
 from jointmotion.relevance import RelevanceHead
 
 LOG_TWO_PI = np.log(2.0 * np.pi)
@@ -193,7 +193,8 @@ class TestObjective:
 
 
 class TestSolveTriangular:
-    """The fit's direct LAPACK solve against scipy's checked wrapper."""
+    """The direct LAPACK solve shared by the fit and the joint Gaussian,
+    against scipy's checked wrapper."""
 
     @pytest.mark.parametrize("n", [1, 3, 8, 64])
     @pytest.mark.parametrize("trans", [0, 1])

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import jointmotion.gaussian
 from jointmotion import (
     CorrelationMatrix,
     IncrementParams,
@@ -277,3 +279,65 @@ class TestJointGaussianInvariants:
             JointGaussian(mean=np.zeros(3), cov=np.eye(3))
         with pytest.raises(ValueError):
             JointGaussian(mean=np.zeros(4), cov=np.eye(6))
+
+
+class TestOneFactorPerJoint:
+    """A joint is factored once, and its NLL and draws are those of the
+    route through scipy's checked triangular solve."""
+
+    def test_factor_is_computed_once(self, monkeypatch):
+        dist = random_pd_gaussian(np.random.default_rng(12), 6)
+        calls = []
+
+        def counted(cov):
+            calls.append(cov)
+            return cholesky_factor(cov)
+
+        monkeypatch.setattr(jointmotion.gaussian, "cholesky_factor", counted)
+        factor = dist.factor
+        assert dist.factor is factor
+        scene_nll(dist, dist.mean)
+        trajectory_nll([dist, dist], np.zeros((2, 6)))
+        sample_joint(dist, seed=0, count=3)
+        assert len(calls) == 1 and calls[0] is dist.cov
+        direct = cholesky_factor(dist.cov)
+        assert np.array_equal(factor.lower, direct.lower)
+        assert factor.log_det == direct.log_det
+
+    @pytest.mark.parametrize("dim", [2, 6, 16])
+    def test_bit_equal_to_the_scipy_route(self, dim):
+        rng = np.random.default_rng(dim)
+        dist = random_pd_gaussian(rng, dim)
+        factor = cholesky_factor(dist.cov)
+        for obs in dist.mean + rng.normal(0.0, 2.0, (5, dim)):
+            white = scipy.linalg.solve_triangular(factor.lower, obs - dist.mean, lower=True)
+            expected = 0.5 * (
+                factor.log_det + float(white @ white) + dim * jointmotion.gaussian.LOG_TWO_PI
+            )
+            assert scene_nll(dist, obs) == expected
+        for seed in (0, 1, 2**40):
+            z = np.random.default_rng(seed).standard_normal((4, dim))
+            assert np.array_equal(sample_joint(dist, seed, 4), dist.mean + z @ factor.lower.T)
+
+    @pytest.mark.parametrize(
+        "observation", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0], [1e308, 0.0]]
+    )
+    def test_non_finite_observation_or_residual_raises(self, observation):
+        dist = JointGaussian(mean=np.array([-1e308, 0.0]), cov=np.eye(2))
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            scene_nll(dist, np.array(observation))
+
+    def test_not_positive_definite_raises_the_same_pivot_on_every_call(self):
+        cov = np.eye(4)
+        cov[:2, :2] = 1.0
+        dist = JointGaussian(mean=np.zeros(4), cov=cov)
+        attempts = (
+            lambda: dist.factor,
+            lambda: scene_nll(dist, np.zeros(4)),
+            lambda: sample_joint(dist, seed=0, count=1),
+            lambda: dist.factor,
+        )
+        for attempt in attempts:
+            with pytest.raises(NotPositiveDefiniteError) as excinfo:
+                attempt()
+            assert excinfo.value.pivot == 1

@@ -238,3 +238,102 @@ def test_non_finite_tokens_are_rejected_naming_the_file(tmp_path, kind, value):
     token = json.dumps(value)
     with pytest.raises(SceneFormatError, match=re.escape(f"{path}: {token} is not a JSON number")):
         load(path)
+
+
+def stdlib_text(payload):
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+# every value json.dumps takes, plus what it rejects: NaN, infinities and
+# objects of another type
+ANY_FLOAT = st.floats() | st.floats().map(np.float64)
+KEYS = st.text(max_size=4) | st.integers() | ANY_FLOAT | st.booleans() | st.none()
+LEAVES = (
+    st.none() | st.booleans() | st.integers() | ANY_FLOAT | st.text(max_size=8)
+    | st.lists(FINITE, max_size=4)
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestWriterMatchesTheStdlib:
+    """``write_json`` writes ``json.dumps(payload, indent=2,
+    allow_nan=False)`` and a newline, raises what it raises, and leaves no
+    trace on disk when it raises."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(payload=PAYLOADS | st.lists(PAYLOADS | st.just(object()), max_size=3))
+    def test_bytes_or_error_equal_the_stdlib(self, tmp_path, payload):
+        path = tmp_path / "payload.json"
+        path.unlink(missing_ok=True)
+        try:
+            expected = stdlib_text(payload)
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                write_json(payload, path)
+            assert str(raised.value) == str(exc)
+            assert not path.exists()
+        else:
+            write_json(payload, path)
+            assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize(
+        "payload, error, message",
+        [
+            ({"a": [1.0, float("nan")]}, ValueError, "nan"),
+            ([[0.5, 2.0], [float("inf")]], ValueError, "inf"),
+            ({"a": {"b": (1, np.float64("-inf"))}}, ValueError, "np.float64(-inf)"),
+            ({float("nan"): 1.0}, ValueError, "nan"),
+            (float("-inf"), ValueError, "-inf"),
+            ([1.0, {1, 2}], TypeError, "Object of type set is not JSON serializable"),
+            ({"a": np.int64(3)}, TypeError, "Object of type int64 is not JSON serializable"),
+            ({(1, 2): 0.5}, TypeError, "keys must be str, int, float, bool or None, not tuple"),
+        ],
+    )
+    def test_unencodable_payload_raises_the_stdlib_error(self, tmp_path, payload, error, message):
+        if error is ValueError:
+            message = f"Out of range float values are not JSON compliant: {message}"
+        for encode in (stdlib_text, lambda p: write_json(p, tmp_path / "out.json")):
+            with pytest.raises(error, match=re.escape(message) + "$"):
+                encode(payload)
+
+
+class TestFailedWriteLeavesNoTrace:
+    """A payload that cannot be encoded writes nothing at all."""
+
+    BAD = [({"a": [1.0, float("nan")]}, ValueError), ({"a": [1.0, object()]}, TypeError)]
+
+    @pytest.mark.parametrize("payload, error", BAD)
+    def test_no_file_is_created(self, tmp_path, payload, error):
+        path = tmp_path / "out.json"
+        with pytest.raises(error):
+            write_json(payload, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("payload, error", BAD)
+    def test_existing_file_is_unchanged(self, tmp_path, payload, error):
+        path = tmp_path / "out.json"
+        write_json({"a": [1.0, 2.0]}, path)
+        before = path.read_bytes()
+        with pytest.raises(error):
+            write_json(payload, path)
+        assert path.read_bytes() == before
+
+    def test_relevance_head_with_nan_weight_keeps_the_saved_head(self, tmp_path):
+        path = tmp_path / "head.json"
+        head = RelevanceHead.initialize(2, seed=0)
+        head.save(path)
+        weights = head.to_dict()
+        weights["w_key"][0][0] = float("nan")
+        with pytest.raises(ValueError, match="not JSON compliant: nan"):
+            RelevanceHead(**weights).save(path)
+        assert same_bits(RelevanceHead.load(path).pack(), head.pack())

@@ -92,7 +92,7 @@ class JointGaussian:
         return self.mean.size // 2
 
     @cached_property
-    def factor(self) -> "CholeskyFactor":
+    def factor(self) -> CholeskyFactor:
         """The covariance's Cholesky factor, computed on first use; the
         covariance is read-only, so it never goes stale. A covariance that
         is not positive definite raises on every access."""

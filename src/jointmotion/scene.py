@@ -201,12 +201,6 @@ def read_json(path: PathLike):
             raise SceneFormatError(f"{path}: {exc}") from None
 
 
-def _float_text(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-
-
 def _key_text(key) -> str:
     if not isinstance(key, str):
         if not isinstance(key, (int, float)) and key is not None:
@@ -228,7 +222,7 @@ def _json_text(value, indent: str) -> str:
             text = ("," + inner).join(map(float.__repr__, value))
         except TypeError:  # an item that is not a float
             text = None
-        # no finite float's repr holds an "n"; _float_text rejects nan and inf
+        # no finite float's repr holds an "n"; the per-item path rejects nan and inf
         if text is None or "n" in text:
             text = ("," + inner).join([_json_text(item, inner) for item in value])
         return "[" + inner + text + indent + "]"
@@ -249,7 +243,9 @@ def _json_text(value, indent: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float_text(value)
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 

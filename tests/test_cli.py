@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jointmotion.cli
 import jointmotion.fit
 from jointmotion import ModeSet, load_scene, min_joint_ade, min_joint_fde, save_modes, save_scene
-from jointmotion.cli import main
+from jointmotion.cli import GRADCHECK_THRESHOLD, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,6 +40,12 @@ def scenario_payload(**overrides):
     }
     payload.update(overrides)
     return payload
+
+
+def edit_entry(truth, field, value):
+    """``truth`` with the first entry of its ``field`` table set to ``value``."""
+    truth[field][0][0] = value
+    return truth
 
 
 def read_bytes_map(directory, skip=("run_manifest.json",)):
@@ -296,20 +303,41 @@ class TestFit:
         assert report["iterations_run"] == 0
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "scene, edit, message",
         [
-            (lambda truth: [1, 2], "truth JSON must be an object"),
+            ("scene_001", lambda truth: [1, 2], "truth JSON must be an object"),
             (
+                "scene_001",
                 lambda truth: {k: v for k, v in truth.items() if k != "mu_delta"},
                 "missing field 'mu_delta'",
             ),
+            # the first sidecar is the reference the others are compared
+            # with, so its own fault must be reported against it
+            (
+                "scene_000",
+                lambda truth: edit_entry(truth, "sigma_delta", float("inf")),
+                "sigma_delta contains non-finite values",
+            ),
+            (
+                "scene_000",
+                lambda truth: edit_entry(truth, "sigma_delta", -1.0),
+                "sigma_delta must be nonnegative",
+            ),
+            (
+                "scene_000",
+                lambda truth: edit_entry(truth, "mu_delta", -3.0),
+                "mu_delta must be nonnegative",
+            ),
         ],
-        ids=["list", "no-mu-delta"],
+        ids=["list", "no-mu-delta", "first-sigma-overflows", "first-sigma-negative",
+             "first-mu-negative"],
     )
-    def test_malformed_truth_sidecar_exits_one(self, tmp_path, capsys, edit, message):
+    def test_malformed_truth_sidecar_exits_one(self, tmp_path, capsys, scene, edit, message):
         dataset = make_dataset_dir(tmp_path, n_scenes=3)
-        sidecar = dataset / "scene_001.truth.json"
-        write_json(sidecar, edit(json.loads(sidecar.read_text())))
+        sidecar = dataset / f"{scene}.truth.json"
+        # an infinity is written as 1e400, a JSON number that parses to inf
+        text = json.dumps(edit(json.loads(sidecar.read_text())), indent=2)
+        sidecar.write_text(text.replace("Infinity", "1e400"))
         fit_config = tmp_path / "fit.json"
         write_json(fit_config, {"max_iters": 5})
         out = tmp_path / "fit_out"
@@ -677,6 +705,18 @@ class TestGradcheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (GRADCHECK_THRESHOLD, 4),  # the threshold itself fails
+            (np.nextafter(GRADCHECK_THRESHOLD, 0.0), 0),  # the float below it passes
+        ],
+        ids=["at-threshold", "just-below"],
+    )
+    def test_threshold_boundary(self, tmp_path, monkeypatch, error, code):
+        monkeypatch.setattr(jointmotion.cli, "gradient_check", lambda *args: error)
+        assert main(["gradcheck", "--out", str(tmp_path)]) == code
 
     def test_single_agent_degenerate_path(self, tmp_path):
         assert main(["gradcheck", "--out", str(tmp_path), "--n-agents", "1"]) == 0

@@ -51,13 +51,7 @@ from .increments import (
     yaw_from_displacements,
 )
 from .metrics import MetricResult, min_joint_ade, min_joint_fde
-from .relevance import (
-    DegenerateFeatureError,
-    RelevanceHead,
-    attention_forward,
-    cosine_relevance,
-    relevance_matrix,
-)
+from .relevance import DegenerateFeatureError, RelevanceHead
 from .scene import (
     ModeSet,
     NonFiniteError,

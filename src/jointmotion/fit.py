@@ -47,7 +47,7 @@ from .relevance import (
     relevance_backward,
     relevance_forward_cached,
 )
-from .scene import Scene, json_fields
+from .scene import Scene, checked_array, json_fields
 from .synthetic import SceneTruth, ScenarioConfig, sample_future_positions
 
 ADAM_BETA1 = 0.9
@@ -169,21 +169,17 @@ class FitDataset:
         feature_dim: int = 8,
         latent_seed: int = 0,
     ):
-        self.current = np.asarray(current, dtype=np.float64)
-        self.theta = np.asarray(theta, dtype=np.float64)
-        self.mu_delta = np.asarray(mu_delta, dtype=np.float64)
-        self.sigma_delta = np.asarray(sigma_delta, dtype=np.float64)
-        self.futures = np.asarray(futures, dtype=np.float64)
-
-        n = self.current.shape[0] if self.current.ndim == 2 else 0
-        if self.current.ndim != 2 or self.current.shape != (n, 2) or n < 1:
-            raise ValueError(f"current: expected (N, 2), got {self.current.shape}")
-        if self.theta.ndim != 2 or self.theta.shape[1] != n:
-            raise ValueError(f"theta: expected (T, {n}), got {self.theta.shape}")
+        self.current = checked_array(current, "current", (None, 2))
+        n = self.current.shape[0]
+        if n < 1:
+            raise ValueError("dataset needs at least one agent")
+        self.theta = checked_array(theta, "theta", (None, n))
         t_fut = self.theta.shape[0]
-        for name, arr in (("mu_delta", self.mu_delta), ("sigma_delta", self.sigma_delta)):
-            if arr.shape != (t_fut, n):
-                raise ValueError(f"{name}: expected ({t_fut}, {n}), got {arr.shape}")
+        self.mu_delta = checked_array(mu_delta, "mu_delta", (t_fut, n))
+        self.sigma_delta = checked_array(sigma_delta, "sigma_delta", (t_fut, n))
+        # not copied: K futures can outweigh everything else the fit holds;
+        # the residual statistics below are checked for finiteness instead
+        self.futures = np.asarray(futures, dtype=np.float64)
         if self.futures.ndim != 4 or self.futures.shape[1:] != (n, t_fut, 2):
             raise ValueError(
                 f"futures: expected (K, {n}, {t_fut}, 2), got {self.futures.shape}"

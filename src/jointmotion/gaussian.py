@@ -16,6 +16,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
+from .scene import checked_array
+
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 # Construction-time symmetry tolerance; reconstruction formulas produce
@@ -36,16 +38,29 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         )
 
 
-def _check_square_symmetric(cov: np.ndarray, atol: float = SYMMETRY_ATOL) -> np.ndarray:
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {cov.shape}")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("matrix contains non-finite values")
-    asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
-    if asym > atol:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return cov
+def _square(value, error: type) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise error(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def symmetric_matrix(value, name: str = "matrix", error: type = ValueError) -> np.ndarray:
+    """``value`` as a read-only symmetric float64 matrix, (S + S^T) / 2.
+
+    S must be square, pass :func:`checked_array` and be symmetric to
+    ``SYMMETRY_ATOL``; ``error`` is raised when it is not.
+    """
+    arr = _square(value, error)
+    arr = checked_array(arr, name, arr.shape, error)
+    diff = arr - arr.T
+    asym = np.abs(diff, out=diff).max() if arr.size else 0.0
+    if asym > SYMMETRY_ATOL:
+        raise error(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+    sym = arr + arr.T
+    sym /= 2.0
+    sym.setflags(write=False)
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,20 +81,14 @@ class JointGaussian:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        if mean.ndim != 1 or mean.size < 2 or mean.size % 2 != 0:
+        mean = checked_array(self.mean, "mean", (None,))
+        if mean.size < 2 or mean.size % 2 != 0:
             raise ValueError(f"mean must have even length >= 2, got shape {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean contains non-finite values")
-        cov = _check_square_symmetric(self.cov)
+        cov = symmetric_matrix(self.cov)
         if cov.shape[0] != mean.size:
             raise ValueError(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
             )
-        cov = (cov + cov.T) / 2.0
-        mean = mean.copy()
-        mean.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -109,9 +118,7 @@ class CholeskyFactor:
 
 def tikhonov_regularize(cov: np.ndarray, delta: float) -> np.ndarray:
     """Return ``cov + delta * I``; off-diagonal entries are untouched."""
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {cov.shape}")
+    cov = _square(cov, ValueError)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     return cov + delta * np.eye(cov.shape[0])
@@ -122,9 +129,10 @@ def cholesky_factor(cov: np.ndarray) -> CholeskyFactor:
 
     Raises:
         NotPositiveDefiniteError: with the index of the failing pivot.
-        ValueError: non-square or non-symmetric input.
+        ValueError: input that :func:`symmetric_matrix` rejects; what it
+            accepts is factored as (S + S^T) / 2.
     """
-    cov = _check_square_symmetric(cov)
+    cov = symmetric_matrix(cov)
     lower, info = dpotrf(cov, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)

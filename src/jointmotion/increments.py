@@ -20,7 +20,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .gaussian import JointGaussian
+from .gaussian import JointGaussian, min_eigenvalue, symmetric_matrix
+from .scene import checked_array
 
 
 class InvalidCorrelationError(ValueError):
@@ -42,19 +43,13 @@ class CorrelationMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.float64)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 1:
-            raise InvalidCorrelationError(f"expected square matrix, got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
-            raise InvalidCorrelationError("correlation matrix has non-finite entries")
-        if rho.size and np.max(np.abs(rho - rho.T)) > 1e-12:
-            raise InvalidCorrelationError("correlation matrix is not symmetric")
-        if np.max(np.abs(np.diag(rho) - 1.0)) > 1e-12:
+        rho = symmetric_matrix(self.rho, "correlation matrix", InvalidCorrelationError)
+        if not rho.size:
+            raise InvalidCorrelationError("correlation matrix needs at least one agent")
+        if np.abs(rho.diagonal() - 1.0).max() > 1e-12:
             raise InvalidCorrelationError("correlation matrix diagonal must be 1")
-        if np.max(np.abs(rho)) > 1.0:
+        if np.abs(rho).max() > 1.0:
             raise InvalidCorrelationError("correlation entries must lie in [-1, 1]")
-        rho = (rho + rho.T) / 2.0
-        rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -62,7 +57,7 @@ class CorrelationMatrix:
         return self.rho.shape[0]
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.rho)[0])
+        return min_eigenvalue(self.rho)
 
     def is_positive_semidefinite(self, tol: float = 1e-9) -> bool:
         return self.min_eigenvalue() >= -tol
@@ -80,19 +75,14 @@ class IncrementParams:
     sigma: np.ndarray
 
     def __post_init__(self):
-        # copies: freezing must not reach the caller's arrays
-        mu = np.array(self.mu, dtype=np.float64)
-        sigma = np.array(self.sigma, dtype=np.float64)
-        if mu.ndim != 1 or sigma.shape != mu.shape or mu.size < 1:
-            raise ValueError(f"mu/sigma must be matching vectors, got {mu.shape} and {sigma.shape}")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
-            raise ValueError("increment parameters must be finite")
+        mu = checked_array(self.mu, "mu", (None,))
+        sigma = checked_array(self.sigma, "sigma", mu.shape)
+        if mu.size < 1:
+            raise ValueError("increment parameters need at least one agent")
         if np.any(mu < 0.0):
             raise ValueError("mean displacements are magnitudes and must be >= 0")
         if np.any(sigma <= 0.0):
             raise ValueError("displacement sigmas must be positive")
-        mu.setflags(write=False)
-        sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
@@ -118,26 +108,17 @@ class Marginals:
     rho_xy: np.ndarray
 
     def __post_init__(self):
-        fields = {}
-        n = None
+        shape = (None,)
         for name in ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_xy"):
-            arr = np.array(getattr(self, name), dtype=np.float64)  # frozen below
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError(f"{name} must be a vector, got shape {arr.shape}")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise ValueError("marginal fields must share one agent count")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-            fields[name] = arr
-        if np.any(fields["sigma_x"] < 0.0) or np.any(fields["sigma_y"] < 0.0):
-            raise ValueError("sigmas must be nonnegative")
-        if np.any(np.abs(fields["rho_xy"]) > 1.0):
-            raise ValueError("rho_xy entries must lie in [-1, 1]")
-        for name, arr in fields.items():
-            arr.setflags(write=False)
+            arr = checked_array(getattr(self, name), name, shape)
+            shape = arr.shape
             object.__setattr__(self, name, arr)
+        if shape[0] < 1:
+            raise ValueError("marginals need at least one agent")
+        if np.any(self.sigma_x < 0.0) or np.any(self.sigma_y < 0.0):
+            raise ValueError("sigmas must be nonnegative")
+        if np.any(np.abs(self.rho_xy) > 1.0):
+            raise ValueError("rho_xy entries must lie in [-1, 1]")
 
     @property
     def n_agents(self) -> int:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .increments import CorrelationMatrix
 from .scene import json_fields, load_json, write_json
 
 
@@ -151,16 +150,6 @@ def _forward_cached(features: np.ndarray, head: RelevanceHead):
     return out, cache
 
 
-def attention_forward(features: np.ndarray, head: RelevanceHead) -> np.ndarray:
-    """Relevance-aware features: attention over agents, then the transform.
-
-    Deterministic, permutation-equivariant over agent rows. Returns an
-    array shaped like ``features``: (N, d), or (T, N, d) for a stack.
-    """
-    out, _ = _forward_cached(features, head)
-    return out
-
-
 def cosine_gram(features: np.ndarray):
     """Cosine similarity of the rows, with unit diagonal, and the row norms
     and unit rows it is built from. Works on (N, d) or a (T, N, d) stack.
@@ -193,24 +182,6 @@ def cosine_gram_backward(d_rho: np.ndarray, unit: np.ndarray, norms: np.ndarray)
     d_rho[..., diagonal, diagonal] = 0.0
     d_unit = (d_rho + d_rho.mT) @ unit
     return (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norms[..., None]
-
-
-def cosine_relevance(features: np.ndarray) -> CorrelationMatrix:
-    """Pairwise cosine similarity of feature rows as a correlation matrix.
-
-    The diagonal is forced to exactly 1; off-diagonal dust outside
-    [-1, 1] from rounding is clipped.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError(f"features: expected (N, d), got {features.shape}")
-    rho, _, _ = cosine_gram(features)
-    return CorrelationMatrix(np.clip(rho, -1.0, 1.0))
-
-
-def relevance_matrix(features: np.ndarray, head: RelevanceHead) -> CorrelationMatrix:
-    """Full pipeline: attention + transform, then cosine similarity."""
-    return cosine_relevance(attention_forward(features, head))
 
 
 def relevance_forward_cached(features: np.ndarray, head: RelevanceHead):

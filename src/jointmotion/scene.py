@@ -34,15 +34,33 @@ class NonFiniteError(ValueError):
     """A numeric entry is NaN or infinite."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=np.float64)
+class SceneArrayError(SceneShapeError, NonFiniteError):
+    """A scene or prediction array has a wrong shape or a NaN or infinite
+    entry. It is both a :class:`SceneShapeError` and a
+    :class:`NonFiniteError`, so :func:`checked_array` can raise one class
+    for both faults and callers may catch either."""
+
+
+def checked_array(value, name: str, shape: tuple, error: type = ValueError) -> np.ndarray:
+    """A read-only float64 copy of ``value``: how every value type stores
+    its arrays. The copy leaves the caller's array writable and unchanged.
+
+    ``shape`` gives each dimension's length, or None where any length is
+    allowed.
+
+    Raises:
+        error: the shape differs, or an entry is NaN or infinite.
+    """
+    arr = np.array(value, dtype=np.float64)
+    if arr.shape != shape and (
+        arr.ndim != len(shape)
+        or any(want is not None and got != want for got, want in zip(arr.shape, shape))
+    ):
+        raise error(f"{name}: expected shape {str(shape).replace('None', '*')}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise error(f"{name} contains non-finite values")
     arr.setflags(write=False)
     return arr
-
-
-def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,28 +79,19 @@ class Scene:
     yaw: np.ndarray
 
     def __post_init__(self):
-        past = np.asarray(self.past, dtype=np.float64)
-        future = np.asarray(self.future, dtype=np.float64)
-        yaw = np.asarray(self.yaw, dtype=np.float64)
-        if past.ndim != 3 or past.shape[2] != 2 or past.shape[1] < 1:
-            raise SceneShapeError(f"past: expected (N, t_obs, 2), got {past.shape}")
-        n = past.shape[0]
-        if n < 1:
-            raise SceneShapeError("scene needs at least one agent")
-        if future.ndim != 3 or future.shape != (n, future.shape[1], 2) or future.shape[1] < 1:
-            raise SceneShapeError(f"future: expected ({n}, t_fut, 2), got {future.shape}")
-        if yaw.shape != (n, future.shape[1]):
-            raise SceneShapeError(
-                f"yaw: expected ({n}, {future.shape[1]}), got {yaw.shape}"
-            )
-        _require_finite(past, "past")
-        _require_finite(future, "future")
-        _require_finite(yaw, "yaw")
+        past = checked_array(self.past, "past", (None, None, 2), SceneArrayError)
+        n, t_obs = past.shape[:2]
+        if n < 1 or t_obs < 1:
+            raise SceneShapeError(f"past: expected (N >= 1, t_obs >= 1, 2), got {past.shape}")
+        future = checked_array(self.future, "future", (n, None, 2), SceneArrayError)
+        if future.shape[1] < 1:
+            raise SceneShapeError(f"future: expected ({n}, t_fut >= 1, 2), got {future.shape}")
+        yaw = checked_array(self.yaw, "yaw", future.shape[:2], SceneArrayError)
         if np.any(yaw <= -np.pi) or np.any(yaw > np.pi):
             raise ValueError("yaw entries must lie in (-pi, pi]")
-        object.__setattr__(self, "past", _freeze(past))
-        object.__setattr__(self, "future", _freeze(future))
-        object.__setattr__(self, "yaw", _freeze(yaw))
+        object.__setattr__(self, "past", past)
+        object.__setattr__(self, "future", future)
+        object.__setattr__(self, "yaw", yaw)
 
     @property
     def n_agents(self) -> int:
@@ -115,19 +124,13 @@ class ModeSet:
     scores: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        modes = np.asarray(self.modes, dtype=np.float64)
-        if modes.ndim != 4 or modes.shape[3] != 2 or modes.shape[0] < 1:
-            raise SceneShapeError(f"modes: expected (M, N, T, 2), got {modes.shape}")
-        _require_finite(modes, "modes")
-        object.__setattr__(self, "modes", _freeze(modes))
+        modes = checked_array(self.modes, "modes", (None, None, None, 2), SceneArrayError)
+        if modes.shape[0] < 1:
+            raise SceneShapeError(f"modes: expected (M >= 1, N, T, 2), got {modes.shape}")
+        object.__setattr__(self, "modes", modes)
         if self.scores is not None:
-            scores = np.asarray(self.scores, dtype=np.float64)
-            if scores.shape != (modes.shape[0],):
-                raise SceneShapeError(
-                    f"scores: expected ({modes.shape[0]},), got {scores.shape}"
-                )
-            _require_finite(scores, "scores")
-            object.__setattr__(self, "scores", _freeze(scores))
+            scores = checked_array(self.scores, "scores", modes.shape[:1], SceneArrayError)
+            object.__setattr__(self, "scores", scores)
 
 
 def json_fields(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .increments import CorrelationMatrix, IncrementParams, InvalidCorrelationError
 from .increments import heading_vectors, wrap_angle
-from .scene import Scene, json_fields
+from .scene import Scene, checked_array, json_fields
 
 PATTERNS = ("follow", "yield", "independent", "mixed")
 
@@ -89,14 +89,16 @@ class ScenarioConfig:
         return cls(**json_fields(payload, "scenario config", required, cls.__dataclass_fields__))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SceneTruth:
     """Ground truth the generator sampled from.
 
     ``mu_delta[t - 1, i]`` and ``sigma_delta[t - 1, i]`` parameterize
     agent i's 1-D displacement from the current position to future step
     t; ``rho`` is the increment correlation matrix shared by all steps.
-    Exact for straight scenes (zero curvature and heading noise).
+    Exact for straight scenes (zero curvature and heading noise). Both
+    tables are finite and nonnegative; a zero sigma (``noise_sigma`` 0)
+    is allowed here, though fitting needs positive ones.
     """
 
     rho: CorrelationMatrix
@@ -104,13 +106,12 @@ class SceneTruth:
     sigma_delta: np.ndarray
 
     def __post_init__(self):
-        self.mu_delta = np.asarray(self.mu_delta, dtype=np.float64)
-        self.sigma_delta = np.asarray(self.sigma_delta, dtype=np.float64)
-        n = self.rho.n_agents
-        if self.mu_delta.ndim != 2 or self.mu_delta.shape[1] != n:
-            raise ValueError(f"mu_delta: expected (T, {n}), got {self.mu_delta.shape}")
-        if self.sigma_delta.shape != self.mu_delta.shape:
-            raise ValueError("sigma_delta must match mu_delta")
+        mu_delta = checked_array(self.mu_delta, "mu_delta", (None, self.rho.n_agents))
+        sigma_delta = checked_array(self.sigma_delta, "sigma_delta", mu_delta.shape)
+        for name, arr in (("mu_delta", mu_delta), ("sigma_delta", sigma_delta)):
+            if np.any(arr < 0.0):
+                raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, arr)
 
     @property
     def t_fut(self) -> int:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import jointmotion.cli
 import jointmotion.fit
 from jointmotion import ModeSet, load_scene, min_joint_ade, min_joint_fde, save_modes, save_scene
-from jointmotion.cli import GRADCHECK_THRESHOLD, main
+from jointmotion.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -709,8 +709,8 @@ class TestGradcheck:
     @pytest.mark.parametrize(
         "error, code",
         [
-            (GRADCHECK_THRESHOLD, 4),  # the threshold itself fails
-            (np.nextafter(GRADCHECK_THRESHOLD, 0.0), 0),  # the float below it passes
+            (1e-5, 4),  # the threshold itself fails
+            (np.nextafter(1e-5, 0.0), 0),  # the float below it passes
         ],
         ids=["at-threshold", "just-below"],
     )

@@ -349,27 +349,3 @@ class TestCorrelationMatrix:
         assert CorrelationMatrix(np.eye(3)).is_positive_semidefinite()
         saturated = np.array([[1.0, -0.9, -0.9], [-0.9, 1.0, -0.9], [-0.9, -0.9, 1.0]])
         assert not CorrelationMatrix(saturated).is_positive_semidefinite()
-
-
-class TestFrozenCopies:
-    def test_increment_params_leave_caller_arrays_writable(self):
-        mu = np.array([1.0, 2.0])
-        sigma = np.array([0.5, 0.25])
-        params = IncrementParams(mu=mu, sigma=sigma)
-        mu[0] = 3.0
-        sigma[0] = 4.0
-        np.testing.assert_array_equal(params.mu, [1.0, 2.0])
-        np.testing.assert_array_equal(params.sigma, [0.5, 0.25])
-        with pytest.raises(ValueError):
-            params.mu[0] = 5.0
-
-    def test_marginals_leave_caller_arrays_writable(self):
-        fields = {
-            name: np.array([0.5, 0.25]) for name in ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_xy")
-        }
-        marginals = Marginals(**fields)
-        for name, arr in fields.items():
-            arr[0] = 0.75
-            assert getattr(marginals, name)[0] == 0.5
-            with pytest.raises(ValueError):
-                getattr(marginals, name)[0] = 1.0

@@ -62,10 +62,12 @@ def truths(draw):
     upper = draw(arrays((n, n), st.floats(-1.0, 1.0)))
     rho = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
     np.fill_diagonal(rho, 1.0)
+    # the tables hold magnitudes and spreads: finite and not negative
+    nonnegative = st.just(-0.0) | st.floats(min_value=0.0, allow_infinity=False)
     return SceneTruth(
         rho=CorrelationMatrix(rho),
-        mu_delta=draw(arrays((t_fut, n))),
-        sigma_delta=draw(arrays((t_fut, n))),
+        mu_delta=draw(arrays((t_fut, n), nonnegative)),
+        sigma_delta=draw(arrays((t_fut, n), nonnegative)),
     )
 
 

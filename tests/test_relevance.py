@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointmotion import (
-    CorrelationMatrix,
-    DegenerateFeatureError,
-    RelevanceHead,
-    attention_forward,
-    cosine_relevance,
-    relevance_matrix,
-)
+from jointmotion import DegenerateFeatureError, RelevanceHead, min_eigenvalue
 from jointmotion.fit import finite_difference_gradient, relative_gradient_errors
-from jointmotion.relevance import relevance_backward, relevance_forward_cached
+from jointmotion.relevance import cosine_gram, relevance_backward, relevance_forward_cached
+
+
+def transformed(features, head):
+    """The head's output rows: attention over agents, then the transform."""
+    _, cache = relevance_forward_cached(features, head)
+    return cache["out"]
+
+
+def cosine_rho(features):
+    rho, _, _ = cosine_gram(np.asarray(features, dtype=np.float64))
+    return rho
 
 
 class TestHeadParameters:
@@ -54,7 +58,7 @@ class TestAttentionForward:
     def test_single_agent_reduces_to_transform_of_value(self):
         head = RelevanceHead.initialize(4, seed=2)
         features = np.random.default_rng(0).standard_normal((1, 4))
-        out = attention_forward(features, head)
+        out = transformed(features, head)
         mixed = features @ head.w_value  # softmax over one key is exactly 1
         expected = np.tanh(mixed @ head.w_hidden + head.b_hidden) @ head.w_out + head.b_out
         np.testing.assert_allclose(out, expected, rtol=1e-14)
@@ -62,7 +66,7 @@ class TestAttentionForward:
     def test_identical_rows_give_identical_outputs(self):
         head = RelevanceHead.initialize(6, seed=3)
         row = np.random.default_rng(1).standard_normal(6)
-        out = attention_forward(np.tile(row, (4, 1)), head)
+        out = transformed(np.tile(row, (4, 1)), head)
         for i in range(1, 4):
             np.testing.assert_array_equal(out[0], out[i])
 
@@ -71,47 +75,51 @@ class TestAttentionForward:
         head = RelevanceHead.initialize(8, seed=4)
         features = rng.standard_normal((5, 8))
         perm = rng.permutation(5)
-        out = attention_forward(features, head)
-        out_permuted = attention_forward(features[perm], head)
+        out = transformed(features, head)
+        out_permuted = transformed(features[perm], head)
         np.testing.assert_allclose(out_permuted, out[perm], rtol=1e-12, atol=1e-14)
 
     def test_shape_mismatch(self):
         head = RelevanceHead.initialize(4, seed=0)
         with pytest.raises(ValueError):
-            attention_forward(np.zeros((2, 5)), head)
+            transformed(np.zeros((2, 5)), head)
 
 
 class TestCosineRelevance:
     def test_equal_rows_give_plus_one(self):
-        rho = cosine_relevance(np.array([[1.0, 2.0], [2.0, 4.0]])).rho
+        rho = cosine_rho(np.array([[1.0, 2.0], [2.0, 4.0]]))
         np.testing.assert_allclose(rho[0, 1], 1.0)
 
     def test_orthogonal_rows_give_zero(self):
-        rho = cosine_relevance(np.array([[1.0, 0.0], [0.0, 3.0]])).rho
+        rho = cosine_rho(np.array([[1.0, 0.0], [0.0, 3.0]]))
         assert rho[0, 1] == 0.0
 
     def test_antipodal_rows_give_minus_one(self):
-        rho = cosine_relevance(np.array([[1.0, 1.0], [-2.0, -2.0]])).rho
+        rho = cosine_rho(np.array([[1.0, 1.0], [-2.0, -2.0]]))
         np.testing.assert_allclose(rho[0, 1], -1.0)
 
     def test_zero_norm_row_raises(self):
         with pytest.raises(DegenerateFeatureError):
-            cosine_relevance(np.array([[1.0, 0.0], [0.0, 0.0]]))
+            cosine_rho([[1.0, 0.0], [0.0, 0.0]])
 
     def test_output_is_valid_correlation_matrix(self):
+        # what CorrelationMatrix checks; unclipped, |rho| may pass 1 by rounding
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 7))
-            result = cosine_relevance(rng.standard_normal((n, 5)))
-            assert isinstance(result, CorrelationMatrix)
-            assert result.is_positive_semidefinite()
+            rho = cosine_rho(rng.standard_normal((n, 5)))
+            assert rho.shape == (n, n)
+            assert np.max(np.abs(rho - rho.T)) <= 1e-12
+            assert np.all(np.diagonal(rho) == 1.0)
+            assert np.max(np.abs(rho)) <= 1.0 + 1e-15
+            assert min_eigenvalue(rho) >= -1e-9
 
     def test_invariant_to_positive_row_rescaling(self):
         rng = np.random.default_rng(4)
         features = rng.standard_normal((4, 6))
         scaled = features * rng.uniform(0.1, 10.0, (4, 1))
         np.testing.assert_allclose(
-            cosine_relevance(features).rho, cosine_relevance(scaled).rho, atol=1e-14
+            cosine_rho(features), cosine_rho(scaled), atol=1e-14
         )
 
 
@@ -121,8 +129,8 @@ class TestPipeline:
         head = RelevanceHead.initialize(8, seed=6)
         features = rng.standard_normal((5, 8))
         perm = rng.permutation(5)
-        rho = relevance_matrix(features, head).rho
-        rho_permuted = relevance_matrix(features[perm], head).rho
+        rho, _ = relevance_forward_cached(features, head)
+        rho_permuted, _ = relevance_forward_cached(features[perm], head)
         np.testing.assert_allclose(rho_permuted, rho[np.ix_(perm, perm)], atol=1e-12)
 
     def test_backward_matches_finite_differences(self):

@@ -2,9 +2,10 @@
 
 A single-head scaled dot-product attention layer over the N agents is
 followed by a two-layer feature transform; pairwise cosine similarity of
-the resulting rows yields a valid correlation matrix (symmetric, unit
-diagonal, entries in [-1, 1]) by construction, since cosine similarities
-form the Gram matrix of unit vectors.
+the resulting rows yields a correlation matrix (symmetric, unit diagonal,
+positive semidefinite) by construction, since cosine similarities form
+the Gram matrix of unit vectors. Nothing clips it, so an entry may pass
++-1 by a rounding error.
 
 The transform nonlinearity is tanh. A smooth activation keeps the
 analytic gradients verifiable against central finite differences at

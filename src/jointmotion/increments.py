@@ -48,7 +48,9 @@ class CorrelationMatrix:
             raise InvalidCorrelationError("correlation matrix needs at least one agent")
         if np.abs(rho.diagonal() - 1.0).max() > 1e-12:
             raise InvalidCorrelationError("correlation matrix diagonal must be 1")
-        if np.abs(rho).max() > 1.0:
+        # the entries as given: symmetrizing can pull one that lies within
+        # 1e-12 of +-1 back into range
+        if np.abs(np.asarray(self.rho, dtype=np.float64)).max() > 1.0:
             raise InvalidCorrelationError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "rho", rho)
 

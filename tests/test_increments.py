@@ -345,6 +345,11 @@ class TestCorrelationMatrix:
         with pytest.raises(InvalidCorrelationError):
             CorrelationMatrix([[1.0, 1.1], [1.1, 1.0]])
 
+    def test_rejects_entry_past_one_that_symmetrizing_would_hide(self):
+        # asymmetric within the 1e-12 tolerance; the mean of the pair is 1
+        with pytest.raises(InvalidCorrelationError, match=r"\[-1, 1\]"):
+            CorrelationMatrix([[1.0, 1.0 + 4e-13], [1.0 - 4e-13, 1.0]])
+
     def test_psd_probe(self):
         assert CorrelationMatrix(np.eye(3)).is_positive_semidefinite()
         saturated = np.array([[1.0, -0.9, -0.9], [-0.9, 1.0, -0.9], [-0.9, -0.9, 1.0]])

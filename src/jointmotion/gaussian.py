@@ -24,6 +24,9 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 # asymmetries no larger than a few ulps.
 SYMMETRY_ATOL = 1e-12
 
+# Entries up to this size add to a finite sum.
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
+
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Cholesky factorization failed.
@@ -48,17 +51,29 @@ def _square(value, error: type) -> np.ndarray:
 def symmetric_matrix(value, name: str = "matrix", error: type = ValueError) -> np.ndarray:
     """``value`` as a read-only symmetric float64 matrix, (S + S^T) / 2.
 
-    S must be square, pass :func:`checked_array` and be symmetric to
-    ``SYMMETRY_ATOL``; ``error`` is raised when it is not.
+    S must be square, finite and symmetric to ``SYMMETRY_ATOL``; ``error``
+    is raised when it is not. The result is a new array, so the caller's
+    stays writable and unchanged. Where S + S^T overflows, the two entries
+    passed the symmetry check and so are equal: the entry is kept as given.
     """
     arr = _square(value, error)
-    arr = checked_array(arr, name, arr.shape, error)
-    diff = arr - arr.T
-    asym = np.abs(diff, out=diff).max() if arr.size else 0.0
-    if asym > SYMMETRY_ATOL:
-        raise error(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    sym = arr + arr.T
-    sym /= 2.0
+    peak = np.abs(arr).max(initial=0.0)  # NaN if any entry is NaN
+    if not peak <= _HALF_MAX and not np.isfinite(peak):
+        raise error(f"{name} contains non-finite values")
+    bits = arr.view(np.int64)
+    if (bits == bits.T).all():
+        # bit for bit what (S + S^T) / 2 gives, short of overflow
+        sym = arr.copy()
+    else:
+        with np.errstate(over="ignore"):  # only reachable above _HALF_MAX
+            diff = arr - arr.T
+            asym = np.abs(diff, out=diff).max()
+            if asym > SYMMETRY_ATOL:
+                raise error(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+            sym = arr + arr.T
+        sym /= 2.0
+        if peak > _HALF_MAX:
+            np.copyto(sym, arr, where=np.isinf(sym))
     sym.setflags(write=False)
     return sym
 
@@ -138,7 +153,7 @@ def cholesky_factor(cov: np.ndarray) -> CholeskyFactor:
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    log_det = 2.0 * float(np.log(lower.diagonal()).sum())
     return CholeskyFactor(lower=lower, log_det=log_det)
 
 

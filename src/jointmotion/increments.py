@@ -110,17 +110,26 @@ class Marginals:
     rho_xy: np.ndarray
 
     def __post_init__(self):
-        shape = (None,)
-        for name in ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_xy"):
-            arr = checked_array(getattr(self, name), name, shape)
-            shape = arr.shape
-            object.__setattr__(self, name, arr)
-        if shape[0] < 1:
+        names = ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_xy")
+        given = [getattr(self, name) for name in names]
+        try:
+            # one copy, one finiteness pass, one read-only flag; the fields
+            # are the rows of this block
+            block = checked_array(given, "marginals", (5, None))
+        except (ValueError, TypeError):
+            # field by field, to name the first bad one
+            shape = (None,)
+            for name, value in zip(names, given):
+                shape = checked_array(value, name, shape).shape
+            raise
+        if block.shape[1] < 1:
             raise ValueError("marginals need at least one agent")
-        if np.any(self.sigma_x < 0.0) or np.any(self.sigma_y < 0.0):
+        if block[2:4].min() < 0.0:
             raise ValueError("sigmas must be nonnegative")
-        if np.any(np.abs(self.rho_xy) > 1.0):
+        if np.abs(block[4]).max() > 1.0:
             raise ValueError("rho_xy entries must lie in [-1, 1]")
+        for name, row in zip(names, block):
+            object.__setattr__(self, name, row)
 
     @property
     def n_agents(self) -> int:

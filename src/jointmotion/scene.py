@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
@@ -166,9 +167,9 @@ def scene_to_dict(scene: Scene) -> dict:
         "n": scene.n_agents,
         "t_obs": scene.t_obs,
         "t_fut": scene.t_fut,
-        "past": scene.past.tolist(),
-        "future": scene.future.tolist(),
-        "yaw": scene.yaw.tolist(),
+        "past": scene.past,
+        "future": scene.future,
+        "yaw": scene.yaw,
     }
 
 
@@ -214,9 +215,33 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(key)
 
 
+def _template(shape: tuple, indent: str) -> str:
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    inner = indent + "  "
+    item = _template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
+
+
+@lru_cache(maxsize=32)
+def _array_template(shape: tuple, indent: str) -> str:
+    """The text ``json.dumps(arr.tolist(), indent=2)`` gives for a float
+    array of ``shape`` at ``indent``, with ``%r`` where each entry goes in
+    C order. Bounded: a few shapes recur on every scene and prediction."""
+    return _template(shape, indent)
+
+
 def _json_text(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
-    it at the nesting level whose line break and indent is ``indent``."""
+    it at the nesting level whose line break and indent is ``indent``; a
+    float64 ndarray as its ``tolist()`` would be."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        # Python floats only: '%r' of an np.float64 is "np.float64(...)"
+        text = _array_template(value.shape, indent) % tuple(value.ravel().tolist())
+        # no finite float's repr holds an "n"; the per-item path rejects nan and inf
+        return _json_text(value.tolist(), indent) if "n" in text else text
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -257,7 +282,8 @@ def write_json(payload, path: PathLike) -> None:
     newline; floats keep full round-trip precision.
 
     The bytes are those of ``json.dumps(payload, indent=2,
-    allow_nan=False)`` plus the newline, written in one call. The text is
+    allow_nan=False)`` plus the newline, written in one call; a float64
+    ndarray anywhere in the payload is written as its ``tolist()``. The text is
     built before the file is opened, so a payload that cannot be encoded
     (``ValueError`` for a NaN or infinity, ``TypeError`` for another
     type) leaves no file, or the existing one unchanged.
@@ -302,9 +328,9 @@ def save_scene(scene: Scene, path: PathLike) -> None:
 
 
 def modes_to_dict(modes: ModeSet) -> dict:
-    payload = {"modes": modes.modes.tolist()}
+    payload = {"modes": modes.modes}
     if modes.scores is not None:
-        payload["scores"] = modes.scores.tolist()
+        payload["scores"] = modes.scores
     return payload
 
 

@@ -112,20 +112,29 @@ class SceneTruth:
             if np.any(arr < 0.0):
                 raise ValueError(f"{name} must be nonnegative")
             object.__setattr__(self, name, arr)
+        # each step's IncrementParams, built on first use
+        object.__setattr__(self, "_steps", [None] * mu_delta.shape[0])
 
     @property
     def t_fut(self) -> int:
         return self.mu_delta.shape[0]
 
     def increment_params(self, step: int) -> IncrementParams:
-        """IncrementParams for future step ``step`` (0-based)."""
-        return IncrementParams(mu=self.mu_delta[step], sigma=self.sigma_delta[step])
+        """IncrementParams for future step ``step`` (0-based), built once per
+        truth. A step with a zero sigma raises ``ValueError`` each time it is
+        asked for, and only that step does."""
+        params = self._steps[step]
+        if params is None:
+            # concurrent first calls build equal values; either one is kept
+            params = IncrementParams(mu=self.mu_delta[step], sigma=self.sigma_delta[step])
+            self._steps[step] = params
+        return params
 
     def to_dict(self) -> dict:
         return {
-            "rho": self.rho.rho.tolist(),
-            "mu_delta": self.mu_delta.tolist(),
-            "sigma_delta": self.sigma_delta.tolist(),
+            "rho": self.rho.rho,
+            "mu_delta": self.mu_delta,
+            "sigma_delta": self.sigma_delta,
         }
 
     @classmethod

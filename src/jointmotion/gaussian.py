@@ -9,6 +9,7 @@ Cholesky factor (triangular solves), never an explicit inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -58,14 +59,14 @@ def symmetric_matrix(value, name: str = "matrix", error: type = ValueError) -> n
     """
     arr = _square(value, error)
     peak = np.abs(arr).max(initial=0.0)  # NaN if any entry is NaN
-    if not peak <= _HALF_MAX and not np.isfinite(peak):
+    if not math.isfinite(peak):
         raise error(f"{name} contains non-finite values")
     bits = arr.view(np.int64)
     if (bits == bits.T).all():
         # bit for bit what (S + S^T) / 2 gives, short of overflow
         sym = arr.copy()
     else:
-        with np.errstate(over="ignore"):  # only reachable above _HALF_MAX
+        with np.errstate(over="ignore"):  # S - S^T and S + S^T overflow only above _HALF_MAX
             diff = arr - arr.T
             asym = np.abs(diff, out=diff).max()
             if asym > SYMMETRY_ATOL:

@@ -117,10 +117,13 @@ class Marginals:
             # are the rows of this block
             block = checked_array(given, "marginals", (5, None))
         except (ValueError, TypeError):
-            # field by field, to name the first bad one
-            shape = (None,)
-            for name, value in zip(names, given):
-                shape = checked_array(value, name, shape).shape
+            # field by field, to name the bad one: first any field that is
+            # not a finite vector, then any whose length most fields lack
+            rows = [checked_array(value, name, (None,)) for name, value in zip(names, given)]
+            sizes = [row.size for row in rows]
+            length = max(sizes, key=sizes.count)
+            for name, row in zip(names, rows):
+                checked_array(row, name, (length,))
             raise
         if block.shape[1] < 1:
             raise ValueError("marginals need at least one agent")

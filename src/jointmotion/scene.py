@@ -215,22 +215,19 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(key)
 
 
-def _template(shape: tuple, indent: str) -> str:
+@lru_cache(maxsize=64)
+def _array_template(shape: tuple, indent: str) -> str:
+    """The text ``json.dumps(arr.tolist(), indent=2)`` gives for a float
+    array of ``shape`` at ``indent``, with ``%r`` where each entry goes in
+    C order. Bounded: a few shapes, and their sub-shapes, recur on every
+    scene and prediction."""
     if not shape:
         return "%r"
     if not shape[0]:
         return "[]"
     inner = indent + "  "
-    item = _template(shape[1:], inner)
+    item = _array_template(shape[1:], inner)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
-
-
-@lru_cache(maxsize=32)
-def _array_template(shape: tuple, indent: str) -> str:
-    """The text ``json.dumps(arr.tolist(), indent=2)`` gives for a float
-    array of ``shape`` at ``indent``, with ``%r`` where each entry goes in
-    C order. Bounded: a few shapes recur on every scene and prediction."""
-    return _template(shape, indent)
 
 
 def _json_text(value, indent: str) -> str:

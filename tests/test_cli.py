@@ -590,6 +590,72 @@ class TestEval:
         assert b"\r" not in raw
         assert raw.startswith(b"scene_id,metric,value,argmin_mode\n")
 
+    @pytest.mark.parametrize("directory", ["pred", "gt"])
+    def test_file_against_directory_exits_one(self, tmp_path, capsys, directory):
+        pred_path, scene_path, _, _ = self.make_pair(tmp_path, np.random.default_rng(15))
+        paths = {"pred": pred_path, "gt": scene_path}
+        paths[directory] = tmp_path / "dir"
+        paths[directory].mkdir()
+        out_csv = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert main(["eval", str(paths["pred"]), str(paths["gt"]), "--out", str(out_csv)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid evaluation input: "
+            "prediction and ground-truth paths must both be files or both dirs\n"
+        )
+        assert not out_csv.exists()
+
+    def test_empty_prediction_directory_exits_one(self, tmp_path, capsys):
+        pred_dir, gt_dir = tmp_path / "preds", tmp_path / "gts"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        (pred_dir / "notes.txt").write_text("not a prediction")
+        out_csv = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out_csv)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid evaluation input: no prediction files in {pred_dir}\n"
+        )
+        assert not out_csv.exists()
+
+
+class TestUnwritableOutput:
+    """An ``--out`` below a regular file cannot be created: each command
+    that writes exits 2 with one ``error: cannot write ...`` line."""
+
+    def argv(self, tmp_path, command, out):
+        if command == "generate":
+            config = tmp_path / "scenario.json"
+            write_json(config, scenario_payload())
+            return ["generate", str(config), "--out", str(out)]
+        if command == "fit":
+            fit_config = tmp_path / "fit.json"
+            write_json(fit_config, {"max_iters": 3})
+            return ["fit", str(make_dataset_dir(tmp_path, n_scenes=5)), str(fit_config), "--out", str(out)]
+        pred_path, scene_path, _, _ = TestEval().make_pair(tmp_path, np.random.default_rng(16))
+        return ["eval", str(pred_path), str(scene_path), "--out", str(out)]
+
+    @pytest.mark.parametrize(
+        "command, what, out",
+        [
+            ("generate", "outputs", "gen"),
+            ("fit", "outputs", "fit_out"),
+            ("eval", "CSV", "metrics.csv"),
+            ("eval", "CSV", "sub/metrics.csv"),
+        ],
+    )
+    def test_out_below_a_regular_file_exits_two(self, tmp_path, capsys, command, what, out):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file")
+        argv = self.argv(tmp_path, command, blocker / out)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {what}: ")
+        assert str(blocker) in err
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == "a regular file"
+
 
 def drop(field):
     return lambda path: write_json(

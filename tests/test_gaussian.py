@@ -1,8 +1,13 @@
 """Joint Gaussian numerics: regularization, factorization, NLL, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import jointmotion.gaussian
 from jointmotion import (
@@ -20,6 +25,7 @@ from jointmotion import (
     tikhonov_regularize,
     trajectory_nll,
 )
+from jointmotion.gaussian import symmetric_matrix
 
 LOG_TWO_PI = np.log(2.0 * np.pi)
 
@@ -341,3 +347,89 @@ class TestOneFactorPerJoint:
             with pytest.raises(NotPositiveDefiniteError) as excinfo:
                 attempt()
             assert excinfo.value.pivot == 1
+
+
+HALF_MAX = np.finfo(np.float64).max / 2
+
+
+def reference_symmetric(value):
+    """(S + S^T) / 2 as plain numpy computes it."""
+    value = np.asarray(value, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return (value + value.T) / 2.0
+
+
+class TestSymmetricMatrix:
+    """``symmetric_matrix`` returns (S + S^T) / 2 bit for bit wherever that
+    sum is finite, keeps a huge but finite entry where it is not, and warns
+    about nothing."""
+
+    HUGE = [
+        [[1e308, 0.0], [0.0, 1.0]],
+        [[1.0, -1.7976931348623157e308], [-1.7976931348623157e308, 1.0]],
+        [[1.7976931348623157e308, 1e-13], [0.0, 5e-324]],  # asymmetric within tolerance
+    ]
+
+    @pytest.mark.parametrize("value", HUGE)
+    def test_huge_but_finite_entries_stay_finite(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym = symmetric_matrix(value)
+            joint = JointGaussian(mean=np.zeros(2), cov=value)
+        value = np.asarray(value)
+        for result in (sym, joint.cov):
+            assert np.isfinite(result).all()
+            big = np.abs(value) > HALF_MAX
+            np.testing.assert_array_equal(result[big], value[big])
+            np.testing.assert_array_equal(result[~big], reference_symmetric(value)[~big])
+
+    def test_huge_diagonal_factors_to_a_finite_factor(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = cholesky_factor(np.diag([1.7976931348623157e308, 1.0]))
+        assert np.isfinite(factor.lower).all()
+        assert factor.lower[0, 0] == np.sqrt(1.7976931348623157e308)
+
+    def test_huge_asymmetric_pair_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^matrix is not symmetric \(max asymmetry inf\)$"):
+                symmetric_matrix([[0.0, 1e308], [-1e308, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_rejected_with_the_given_class(self, bad):
+        value = np.eye(3)
+        value[2, 1] = bad
+        with pytest.raises(KeyError, match="cov contains non-finite values"):
+            symmetric_matrix(value, "cov", KeyError)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[5e-324, 5e-324], [5e-324, 5e-324]],  # halving first would give 0
+            [[1.0, 1.5e-323], [5e-324, 1.0]],
+            [[1.0, -0.0], [0.0, 1.0]],
+            [[HALF_MAX, 1.0], [1.0, -HALF_MAX]],
+        ],
+    )
+    def test_edge_entries_bit_equal_to_the_plain_formula(self, value):
+        assert symmetric_matrix(value).tobytes() == reference_symmetric(value).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        upper=hnp.arrays(
+            np.float64,
+            st.integers(1, 4).map(lambda n: (n, n)),
+            elements=st.floats(-HALF_MAX, HALF_MAX) | st.sampled_from([5e-324, 1.5e-323, -0.0]),
+        ),
+        nudge=st.sampled_from([0.0, 5e-324, 1e-13, -5e-13]),
+    )
+    def test_bit_equal_to_the_plain_formula_below_overflow(self, upper, nudge):
+        n = upper.shape[0]
+        value = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
+        value[-1, 0] += nudge  # off the diagonal, within the tolerance of its mirror
+        given = value.copy()
+        sym = symmetric_matrix(value)
+        assert sym.tobytes() == reference_symmetric(given).tobytes()
+        assert not sym.flags.writeable and value.flags.writeable
+        assert value.tobytes() == given.tobytes()

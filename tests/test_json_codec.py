@@ -263,10 +263,56 @@ PAYLOADS = st.recursive(
 )
 
 
+# float64 arrays of rank 0 to 3, zero-length dimensions included, over the
+# edges of float repr and the values JSON has no number for
+EDGE_ENTRIES = [-0.0, 5e-324, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    elements=FINITE | st.sampled_from(EDGE_ENTRIES + [float("nan"), float("inf"), float("-inf")]),
+) | hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    elements=FINITE | st.sampled_from(EDGE_ENTRIES),
+)
+
+
 class TestWriterMatchesTheStdlib:
     """``write_json`` writes ``json.dumps(payload, indent=2,
     allow_nan=False)`` and a newline, raises what it raises, and leaves no
-    trace on disk when it raises."""
+    trace on disk when it raises; a float64 array is written as its
+    ``tolist()``."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(value=ARRAYS, nesting=st.sampled_from(["bare", "list", "dict"]))
+    def test_array_leaves_write_as_their_tolist(self, tmp_path, value, nesting):
+        def nest(leaf):
+            return {"bare": leaf, "list": [leaf, 1.5, [leaf]], "dict": {"a": {"b": leaf}, "c": []}}[nesting]
+
+        path = tmp_path / "array.json"
+        path.unlink(missing_ok=True)
+        try:
+            expected = stdlib_text(nest(value.tolist()))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                write_json(nest(value), path)
+            assert str(raised.value) == str(exc)
+            assert not path.exists()
+        else:
+            write_json(nest(value), path)
+            assert path.read_bytes() == expected.encode("ascii")
+
+    def test_an_array_of_another_dtype_is_rejected_as_the_stdlib_rejects_it(self, tmp_path):
+        path = tmp_path / "ints.json"
+        message = "Object of type ndarray is not JSON serializable"
+        for encode in (stdlib_text, lambda p: write_json(p, path)):
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                encode({"a": np.arange(3)})
+        assert not path.exists()
 
     @settings(
         max_examples=300,

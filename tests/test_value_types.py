@@ -2,6 +2,9 @@
 copies, so the caller's arrays stay its own, and it rejects a NaN entry or
 a wrong shape with its own exception class."""
 
+import re
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -128,3 +131,86 @@ def test_value_type_array_contract(name):
         bad[key] = np.stack([bad[key], bad[key]])
         with pytest.raises(shape_error):
             build(**bad)
+
+
+MARGINAL_FIELDS = ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_xy")
+
+
+@pytest.mark.parametrize("field", MARGINAL_FIELDS)
+@pytest.mark.parametrize("fault", ["nan", "longer", "shorter"])
+def test_marginals_name_the_one_bad_field(field, fault):
+    given = marginal_arrays()
+    if fault == "nan":
+        given[field][1] = np.nan
+        message = f"{field} contains non-finite values"
+    else:
+        given[field] = np.full(3 if fault == "longer" else 1, 0.5)
+        message = f"{field}: expected shape (2,), got ({given[field].size},)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Marginals(**given)
+
+
+def truth_with_zero_sigma_step(zero_step):
+    sigma_delta = np.array([[0.5, 0.25], [0.75, 0.5], [1.0, 0.75]])
+    sigma_delta[zero_step, 1] = 0.0
+    return scene_truth(
+        np.array([[1.0, -0.3], [-0.3, 1.0]]), np.array([[2.5, 2.0], [5.0, 4.0], [7.5, 0.0]]), sigma_delta
+    )
+
+
+def test_truth_increment_params_are_built_once_and_equal_a_fresh_build():
+    rng = np.random.default_rng(4)
+    truth = scene_truth(np.eye(3), rng.uniform(0.0, 9.0, (5, 3)), rng.uniform(0.1, 2.0, (5, 3)))
+    for step in range(5):
+        params = truth.increment_params(step)
+        fresh = IncrementParams(truth.mu_delta[step], truth.sigma_delta[step])
+        assert params.mu.tobytes() == fresh.mu.tobytes()
+        assert params.sigma.tobytes() == fresh.sigma.tobytes()
+        assert truth.increment_params(step) is params
+        assert truth.increment_params(step - 5) is params
+
+
+@pytest.mark.parametrize("zero_step", [0, 1, 2])
+def test_truth_with_a_zero_sigma_step_raises_for_that_step_only(zero_step):
+    truth = truth_with_zero_sigma_step(zero_step)
+    for _ in range(2):  # and on every request, not only the first
+        for step in range(3):
+            if step == zero_step:
+                with pytest.raises(ValueError, match="displacement sigmas must be positive"):
+                    truth.increment_params(step)
+            else:
+                assert truth.increment_params(step).n_agents == 2
+
+
+def test_concurrent_first_requests_give_equal_params():
+    rng = np.random.default_rng(5)
+    truths = [
+        scene_truth(np.eye(4), rng.uniform(0.0, 9.0, (12, 4)), rng.uniform(0.1, 2.0, (12, 4)))
+        for _ in range(20)
+    ]
+    results = {}
+
+    def fill(worker):
+        order = np.random.default_rng(worker).permutation(12)
+        results[worker] = [
+            [(int(t), truth.increment_params(int(t))) for t in order] for truth in truths
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=fill, args=(w,)) for w in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert sorted(results) == list(range(8))
+    for per_worker in results.values():
+        for truth, pairs in zip(truths, per_worker):
+            for step, params in pairs:
+                cached = truth.increment_params(step)
+                assert params.mu.tobytes() == cached.mu.tobytes() == truth.mu_delta[step].tobytes()
+                assert params.sigma.tobytes() == cached.sigma.tobytes()

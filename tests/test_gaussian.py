@@ -427,9 +427,9 @@ class TestSymmetricMatrix:
     def test_bit_equal_to_the_plain_formula_below_overflow(self, upper, nudge):
         n = upper.shape[0]
         value = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
-        value[-1, 0] += nudge  # off the diagonal, within the tolerance of its mirror
-        given = value.copy()
+        value[-1, 0] += nudge  # within the tolerance of its mirror (itself when n = 1)
+        before = value.copy()
         sym = symmetric_matrix(value)
-        assert sym.tobytes() == reference_symmetric(given).tobytes()
+        assert sym.tobytes() == reference_symmetric(before).tobytes()
         assert not sym.flags.writeable and value.flags.writeable
-        assert value.tobytes() == given.tobytes()
+        assert value.tobytes() == before.tobytes()

@@ -61,20 +61,15 @@ def symmetric_matrix(value, name: str = "matrix", error: type = ValueError) -> n
     peak = np.abs(arr).max(initial=0.0)  # NaN if any entry is NaN
     if not math.isfinite(peak):
         raise error(f"{name} contains non-finite values")
-    bits = arr.view(np.int64)
-    if (bits == bits.T).all():
-        # bit for bit what (S + S^T) / 2 gives, short of overflow
-        sym = arr.copy()
-    else:
-        with np.errstate(over="ignore"):  # S - S^T and S + S^T overflow only above _HALF_MAX
-            diff = arr - arr.T
-            asym = np.abs(diff, out=diff).max()
-            if asym > SYMMETRY_ATOL:
-                raise error(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-            sym = arr + arr.T
-        sym /= 2.0
-        if peak > _HALF_MAX:
-            np.copyto(sym, arr, where=np.isinf(sym))
+    with np.errstate(over="ignore"):  # S - S^T and S + S^T overflow only above _HALF_MAX
+        diff = arr - arr.T
+        asym = np.abs(diff, out=diff).max(initial=0.0)
+        if asym > SYMMETRY_ATOL:
+            raise error(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+        sym = arr + arr.T
+    sym /= 2.0
+    if peak > _HALF_MAX:
+        np.copyto(sym, arr, where=np.isinf(sym))
     sym.setflags(write=False)
     return sym
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
@@ -163,6 +162,8 @@ def _shaped(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
 
 
 def scene_to_dict(scene: Scene) -> dict:
+    """The scene's JSON payload for :func:`write_json`. Its array fields are
+    the scene's read-only arrays, not lists, so ``json.dumps`` rejects it."""
     return {
         "n": scene.n_agents,
         "t_obs": scene.t_obs,
@@ -215,12 +216,10 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(key)
 
 
-@lru_cache(maxsize=64)
 def _array_template(shape: tuple, indent: str) -> str:
     """The text ``json.dumps(arr.tolist(), indent=2)`` gives for a float
     array of ``shape`` at ``indent``, with ``%r`` where each entry goes in
-    C order. Bounded: a few shapes, and their sub-shapes, recur on every
-    scene and prediction."""
+    C order."""
     if not shape:
         return "%r"
     if not shape[0]:
@@ -325,6 +324,8 @@ def save_scene(scene: Scene, path: PathLike) -> None:
 
 
 def modes_to_dict(modes: ModeSet) -> dict:
+    """The prediction's JSON payload for :func:`write_json`, holding the
+    mode set's read-only arrays as :func:`scene_to_dict` does."""
     payload = {"modes": modes.modes}
     if modes.scores is not None:
         payload["scores"] = modes.scores

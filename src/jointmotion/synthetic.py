@@ -131,6 +131,8 @@ class SceneTruth:
         return params
 
     def to_dict(self) -> dict:
+        """The truth's JSON payload for :func:`write_json`. It holds the
+        truth's read-only arrays, not lists, so ``json.dumps`` rejects it."""
         return {
             "rho": self.rho.rho,
             "mu_delta": self.mu_delta,

@@ -34,13 +34,11 @@ from .gaussian import (
 )
 from .increments import (
     CorrelationMatrix,
-    DegenerateHeadingError,
     IncrementParams,
     InvalidCorrelationError,
     Marginals,
     assemble_joint,
     equivalence_check,
-    estimate_yaw,
     heading_vectors,
     pair_count,
     planar_pair_count,
@@ -48,7 +46,6 @@ from .increments import (
     projected_marginals,
     reconstruct_cross_correlations,
     wrap_angle,
-    yaw_from_displacements,
 )
 from .metrics import MetricResult, min_joint_ade, min_joint_fde
 from .relevance import DegenerateFeatureError, RelevanceHead

@@ -195,10 +195,12 @@ def _cmd_fit(args) -> int:
     if report.failure_flag:
         print(f"fit failed: {report.failure_reason}", file=sys.stderr)
         return EXIT_FIT
-    print(
-        f"fit converged in {report.iterations_run} iterations, "
-        f"final NLL {report.final_nll:.6f}"
-    )
+    iterations = report.iterations_run
+    if report.stop_reason == "convergence_tol":
+        outcome = f"converged in {iterations} iterations (objective change below convergence_tol)"
+    else:
+        outcome = f"stopped at max_iters ({iterations} iterations) without converging"
+    print(f"fit {outcome}, final NLL {report.final_nll:.6f}")
     return EXIT_OK
 
 

@@ -120,7 +120,12 @@ class FitConfig:
 
 @dataclass
 class FitReport:
-    """Outcome of a fit: trace, recovered correlations, failure status."""
+    """Outcome of a fit: trace, recovered correlations, failure status.
+
+    ``stop_reason`` says why the optimizer stopped: ``"convergence_tol"``
+    (the objective changed by less than the tolerance), ``"max_iters"``
+    (the iteration cap) or ``"failure"`` (see ``failure_reason``).
+    """
 
     final_nll: float
     nll_trace: np.ndarray
@@ -128,6 +133,7 @@ class FitReport:
     iterations_run: int
     delta_reg_used: float
     parameterization: str
+    stop_reason: str
     failure_flag: bool = False
     failure_reason: Optional[str] = None
 
@@ -545,8 +551,9 @@ def fit_parameters(
     """Minimize the scene-level NLL with Adam.
 
     Stops on ``max_iters`` or when the objective changes by less than
-    ``convergence_tol``. On a factorization failure the regularization
-    is escalated once (x 10); a second failure, or a first one when
+    ``convergence_tol``; the report's ``stop_reason`` says which. On a
+    factorization failure the regularization is escalated once (x 10);
+    a second failure, or a first one when
     escalation cannot change it (delta_reg = 0), aborts with the failure flag
     set and the report still filled in. Both parameterizations give
     positive semidefinite correlations, so with delta_reg > 0 only an
@@ -569,6 +576,7 @@ def fit_parameters(
     delta = config.delta_reg
     escalated = False
     failure_reason = None
+    stop_reason = "max_iters"
 
     m = np.zeros_like(x)
     v = np.zeros_like(x)
@@ -601,6 +609,7 @@ def fit_parameters(
             break
         x_finite = x
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:
+            stop_reason = "convergence_tol"
             break
         if x.size:
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
@@ -621,6 +630,7 @@ def fit_parameters(
         iterations_run=len(trace),
         delta_reg_used=delta,
         parameterization=config.parameterization,
+        stop_reason=stop_reason if failure_reason is None else "failure",
         failure_flag=failure_reason is not None,
         failure_reason=failure_reason,
     )

@@ -3,11 +3,11 @@
 Cross-agent interaction is parameterized by a single correlation per
 agent pair, measured between the agents' one-dimensional displacement
 increments from the current position. This module turns that compact
-parameterization back into full planar joint Gaussians: heading
-estimation from mean displacements, projection of increment
-distributions onto the x-y plane, reconstruction of the four planar
-correlation signs per pair, and assembly of the 2N x 2N covariance from
-per-agent marginals. Every heading's cos/sin comes from :func:`heading_vectors`.
+parameterization back into full planar joint Gaussians along given
+headings: projection of increment distributions onto the x-y plane,
+reconstruction of the four planar correlation signs per pair, and
+assembly of the 2N x 2N covariance from per-agent marginals. Every
+heading's cos/sin comes from :func:`heading_vectors`.
 
 All functions are pure and safe for concurrent use.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -26,10 +26,6 @@ from .scene import checked_array
 
 class InvalidCorrelationError(ValueError):
     """A matrix violates the correlation-matrix invariants."""
-
-
-class DegenerateHeadingError(ValueError):
-    """A zero displacement vector has no defined heading."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,61 +154,6 @@ def wrap_angle(angle):
     wrapped = np.remainder(np.asarray(angle, dtype=np.float64) + np.pi, 2.0 * np.pi) - np.pi
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return float(wrapped) if np.ndim(angle) == 0 else wrapped
-
-
-def estimate_yaw(dx: float, dy: float) -> float:
-    """Approximate heading of a displacement vector, in (-pi, pi].
-
-    Not a wrapper over :func:`yaw_from_displacements`: its ``np.arctan2``
-    differs from ``math.atan2`` by one ulp on about 7% of standard-normal
-    inputs (numpy 2.4.6, X86_V3 SIMD).
-
-    Raises:
-        DegenerateHeadingError: both components are exactly zero (a
-            stationary agent has no displacement heading).
-    """
-    if not (math.isfinite(dx) and math.isfinite(dy)):
-        raise ValueError("displacement components must be finite")
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateHeadingError("zero displacement has no heading")
-    angle = math.atan2(dy, dx)
-    return math.pi if angle == -math.pi else angle
-
-
-def yaw_from_displacements(
-    displacements: np.ndarray, fallback: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized heading estimate with a policy for stationary agents.
-
-    For rows with zero displacement the heading falls back to the
-    corresponding ``fallback`` entry (typically the last observed
-    heading), or 0 when no fallback is given; those agents are flagged
-    in the returned mask.
-
-    Returns:
-        (theta, degenerate_mask): (N,) headings in (-pi, pi] and a (N,)
-        boolean mask marking agents that needed the fallback.
-
-    Raises:
-        ValueError: a displacement component is NaN or infinite.
-    """
-    displacements = np.asarray(displacements, dtype=np.float64)
-    if displacements.ndim != 2 or displacements.shape[1] != 2:
-        raise ValueError(f"expected (N, 2) displacements, got {displacements.shape}")
-    if not np.all(np.isfinite(displacements)):
-        raise ValueError("displacement components must be finite")
-    degenerate = (displacements[:, 0] == 0.0) & (displacements[:, 1] == 0.0)
-    theta = np.arctan2(displacements[:, 1], displacements[:, 0])
-    theta = np.where(theta == -np.pi, np.pi, theta)
-    if np.any(degenerate):
-        if fallback is not None:
-            fallback = np.asarray(fallback, dtype=np.float64)
-            if fallback.shape != (displacements.shape[0],):
-                raise ValueError("fallback must hold one heading per agent")
-            theta = np.where(degenerate, fallback, theta)
-        else:
-            theta = np.where(degenerate, 0.0, theta)
-    return theta, degenerate
 
 
 def _as_correlation(corr: Union[CorrelationMatrix, np.ndarray]) -> CorrelationMatrix:

@@ -115,10 +115,6 @@ class SceneTruth:
         # each step's IncrementParams, built on first use
         object.__setattr__(self, "_steps", [None] * mu_delta.shape[0])
 
-    @property
-    def t_fut(self) -> int:
-        return self.mu_delta.shape[0]
-
     def increment_params(self, step: int) -> IncrementParams:
         """IncrementParams for future step ``step`` (0-based), built once per
         truth. A step with a zero sigma raises ``ValueError`` each time it is
@@ -395,8 +391,8 @@ def yaw_error_distribution(scenes: Iterable[Scene]) -> YawErrorStats:
         displacement = scene.future - current[:, None, :]
         stationary = (displacement[..., 0] == 0.0) & (displacement[..., 1] == 0.0)
         skipped += int(np.count_nonzero(stationary))
-        # not yaw_from_displacements: its -pi -> pi fold would change the
-        # wrapped error of a chord pointing exactly west
+        # the raw arctan2, with no -pi -> pi fold: folding would change
+        # the wrapped error of a chord pointing exactly west
         estimated = np.arctan2(displacement[..., 1], displacement[..., 0])
         delta = wrap_angle(scene.yaw - estimated)
         errors.append(delta[~stationary])

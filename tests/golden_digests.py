@@ -4,8 +4,9 @@ Every digest covers a fixed, seeded input grid: the synthetic sampler,
 the fit statistics, short fits with both parameterizations, the heading
 and sign-pattern constructions over random and axis-aligned headings,
 the joint Gaussian's factor, likelihoods and draws, the bytes the
-``generate`` and ``fit`` commands write, and the bytes ``write_json``
-writes for an edge-case payload. Rounding
+``generate`` and ``fit`` commands write, the objective and gradient the
+``gradcheck`` command checks, and the bytes ``write_json`` writes for an
+edge-case payload. Rounding
 order is part of the contract, so a change that reorders one
 floating-point sum changes a digest.
 
@@ -37,7 +38,6 @@ from jointmotion import (
     assemble_joint,
     cholesky_factor,
     equivalence_check,
-    estimate_yaw,
     load_modes,
     pair_count,
     planar_pair_count,
@@ -49,8 +49,8 @@ from jointmotion import (
     scene_nll,
     tikhonov_regularize,
     trajectory_nll,
-    yaw_from_displacements,
 )
+from jointmotion import cli
 from jointmotion.cli import main as cli_main
 from jointmotion.fit import (
     DirectRhoParams,
@@ -229,16 +229,6 @@ def _heading_digests(out: dict) -> None:
         increments_from_positions(positions, current, theta)
     )
 
-    axis_steps = np.array(
-        [[1.0, 0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0], [-0.0, 0.0]]
-    )
-    displacements = np.concatenate([axis_steps, rng.standard_normal((9, 2))])
-    yaw, degenerate = yaw_from_displacements(displacements)
-    yaw_fb, _ = yaw_from_displacements(displacements, fallback=theta)
-    scalar = [
-        estimate_yaw(dx, dy) for dx, dy in displacements if not (dx == 0.0 and dy == 0.0)
-    ]
-    out["increments/yaw"] = digest(yaw, degenerate, yaw_fb, scalar)
     out["increments/pair_counts"] = digest(
         [[pair_count(k), planar_pair_count(k)] for k in range(70)]
     )
@@ -322,6 +312,25 @@ def _cli_digests(out: dict) -> None:
         out["scene/modes_loaded"] = digest(loaded.modes, loaded.scores)
 
 
+def _gradcheck_digests(out: dict) -> None:
+    """The objective and analytic gradient that ``jointmotion gradcheck``
+    checks with its default arguments, for each parameterization."""
+    check = cli.gradient_check
+
+    def recording(params, dataset, delta_reg, step):
+        value, grad = params.value_and_grad(dataset, delta_reg)
+        out[f"cli/gradcheck/{type(params).__name__}"] = digest([value], grad)
+        return check(params, dataset, delta_reg, step)
+
+    cli.gradient_check = recording
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            if cli_main(["gradcheck", "--out", tmp]) != 0:
+                raise RuntimeError("gradcheck failed")
+    finally:
+        cli.gradient_check = check
+
+
 def _yaw_error_digests(out: dict) -> None:
     config = ScenarioConfig(
         pattern="mixed", n_agents=5, t_fut=T_FUT, curvature=0.05, heading_noise=0.05, seed=11
@@ -342,6 +351,7 @@ def compute_digests() -> dict:
     _gaussian_digests(out)
     _writer_digests(out)
     _cli_digests(out)
+    _gradcheck_digests(out)
     return out
 
 

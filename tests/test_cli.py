@@ -163,6 +163,41 @@ class TestFit:
         recovered = json.loads((out / "recovered_rho.json").read_text())
         np.testing.assert_allclose(recovered["rho"], report["recovered_rho"])
 
+    @pytest.mark.parametrize(
+        "fit_config, delta, code, stop_reason, line",
+        [
+            (
+                {"max_iters": 20},
+                "1e-4",
+                0,
+                "max_iters",
+                "fit stopped at max_iters (20 iterations) without converging, final NLL ",
+            ),
+            (
+                {"convergence_tol": 1e-3},
+                "1e-4",
+                0,
+                "convergence_tol",
+                "fit converged in 25 iterations (objective change below convergence_tol), "
+                "final NLL ",
+            ),
+            ({"max_iters": 20}, "0", 3, "failure", ""),
+        ],
+        ids=["iteration-cap", "tolerance", "failure"],
+    )
+    def test_report_and_stdout_state_why_the_fit_stopped(
+        self, tmp_path, capsys, fit_config, delta, code, stop_reason, line
+    ):
+        dataset = make_dataset_dir(tmp_path, n_scenes=5)
+        config = tmp_path / "fit.json"
+        write_json(config, fit_config)
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        assert main(["fit", str(dataset), str(config), "--out", str(out), "--delta-reg", delta]) == code
+        assert json.loads((out / "fit_report.json").read_text())["stop_reason"] == stop_reason
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(line) and len(stdout.splitlines()) == (1 if line else 0)
+
     def test_zero_delta_exits_three_with_report(self, tmp_path, capsys):
         dataset = make_dataset_dir(tmp_path, n_scenes=20)
         fit_config = tmp_path / "fit.json"
@@ -426,6 +461,51 @@ class TestFit:
         assert main(["fit", str(dataset), str(fit_config), "--out", str(out_a)]) == 0
         assert main(["fit", str(dataset), str(fit_config), "--out", str(out_b)]) == 0
         assert read_bytes_map(out_a) == read_bytes_map(out_b)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [{"n_agents": 1}, {"t_fut": 1}, {"t_obs": 1}, {"n_agents": 1, "t_fut": 1, "t_obs": 1}],
+    ids=["one-agent", "one-future-step", "one-past-step", "all-three"],
+)
+def test_generate_fit_eval_at_degenerate_shapes(tmp_path, shape):
+    payload = scenario_payload(pattern="follow", target_rho=0.5, n_scenes=2, **shape)
+    n, t_fut = payload["n_agents"], payload["t_fut"]
+    write_json(tmp_path / "scenario.json", payload)
+    data, fit_out = tmp_path / "data", tmp_path / "fit"
+    assert main(["generate", str(tmp_path / "scenario.json"), "--out", str(data)]) == 0
+    assert sorted(p.name for p in data.iterdir()) == [
+        "run_manifest.json",
+        "scene_000.json",
+        "scene_000.truth.json",
+        "scene_001.json",
+        "scene_001.truth.json",
+    ]
+    assert load_scene(data / "scene_001.json").past.shape == (n, payload["t_obs"], 2)
+
+    write_json(tmp_path / "fit.json", {"max_iters": 10})
+    assert main(["fit", str(data), str(tmp_path / "fit.json"), "--out", str(fit_out)]) == 0
+    assert sorted(p.name for p in fit_out.iterdir()) == [
+        "fit_report.json", "nll_trace.csv", "recovered_rho.json", "run_manifest.json"
+    ]
+    report = json.loads((fit_out / "fit_report.json").read_text())
+    assert not report["failure_flag"]
+    assert np.asarray(report["recovered_rho"]).shape == (t_fut, n, n)
+
+    # hand-written: the scene's own future, then the same shifted by 1 m
+    future = np.asarray(json.loads((data / "scene_000.json").read_text())["future"])
+    write_json(tmp_path / "pred.json", {"modes": [(future + 1.0).tolist(), future.tolist()]})
+    out_csv = tmp_path / "metrics" / "metrics.csv"
+    assert main(["eval", str(tmp_path / "pred.json"), str(data / "scene_000.json"),
+                 "--out", str(out_csv)]) == 0
+    assert out_csv.read_text().splitlines() == [
+        "scene_id,metric,value,argmin_mode",
+        "pred,minJointADE,0.0,1",
+        "pred,minJointFDE,0.0,1",
+        "mean,minJointADE,0.0,",
+        "mean,minJointFDE,0.0,",
+    ]
+    assert (out_csv.parent / "run_manifest.json").exists()
 
 
 class TestEval:

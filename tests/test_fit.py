@@ -471,6 +471,28 @@ class TestFitParameters:
         assert report.delta_reg_used == 1e-300  # not escalated
         assert np.all(np.isfinite(report.recovered_rho))
 
+    def test_infinite_objective_ends_the_fit_with_a_report(self):
+        # curved futures leave lateral residuals, whose term L_t / delta
+        # overflows the objective itself at delta_reg 1e-308
+        config = ScenarioConfig(pattern="follow", n_agents=2, t_fut=3, curvature=0.3)
+        dataset = FitDataset.from_config(config, n_futures=16)
+        report = fit_parameters(FitConfig(delta_reg=1e-308), dataset)
+        assert report.failure_reason == "non-finite objective at iteration 0: the objective is inf"
+        assert report.stop_reason == "failure"
+        assert report.iterations_run == 0
+        assert np.all(np.isfinite(report.recovered_rho))
+
+    def test_stop_reason_tells_the_iteration_cap_from_the_tolerance(self):
+        _, dataset = small_dataset(seed=20, n_futures=100)
+        capped = fit_parameters(FitConfig(max_iters=20), dataset)
+        assert (capped.stop_reason, capped.iterations_run) == ("max_iters", 20)
+        converged = fit_parameters(FitConfig(convergence_tol=1e-3), dataset)
+        assert converged.stop_reason == "convergence_tol"
+        assert 2 <= converged.iterations_run < 500
+        # the tolerance met on the last allowed iteration still counts
+        config = FitConfig(max_iters=converged.iterations_run, convergence_tol=1e-3)
+        assert fit_parameters(config, dataset).stop_reason == "convergence_tol"
+
     def test_escalation_recovers_once_then_proceeds(self):
         _, dataset = small_dataset(seed=18, n_futures=200, n_agents=3, target=0.3)
         start = DirectRhoParams.from_rho(

@@ -5,13 +5,11 @@ import pytest
 
 from jointmotion import (
     CorrelationMatrix,
-    DegenerateHeadingError,
     IncrementParams,
     InvalidCorrelationError,
     Marginals,
     assemble_joint,
     equivalence_check,
-    estimate_yaw,
     heading_vectors,
     pair_count,
     planar_pair_count,
@@ -20,7 +18,6 @@ from jointmotion import (
     reconstruct_cross_correlations,
     scene_nll,
     JointGaussian,
-    yaw_from_displacements,
 )
 
 
@@ -52,38 +49,6 @@ def dense_projection_oracle(inc, corr, theta, current):
     cov = rotation.T @ replicated @ rotation
     mean = rotation @ np.repeat(inc.mu, 2) + current.reshape(-1)
     return mean, cov
-
-
-class TestEstimateYaw:
-    def test_east(self):
-        assert estimate_yaw(1.0, 0.0) == 0.0
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(estimate_yaw(1.0, 1.0), np.pi / 4)
-
-    def test_west_maps_to_positive_pi(self):
-        assert estimate_yaw(-1.0, 0.0) == np.pi
-        assert estimate_yaw(-1.0, -0.0) == np.pi
-
-    def test_zero_displacement_raises(self):
-        with pytest.raises(DegenerateHeadingError):
-            estimate_yaw(0.0, 0.0)
-
-    def test_vectorized_fallback_and_mask(self):
-        displacements = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, -2.0]])
-        theta, mask = yaw_from_displacements(displacements, fallback=np.array([9.0, 0.5, 9.0]))
-        np.testing.assert_allclose(theta, [0.0, 0.5, -np.pi / 2])
-        np.testing.assert_array_equal(mask, [False, True, False])
-
-    def test_vectorized_default_fallback_is_zero(self):
-        theta, mask = yaw_from_displacements(np.zeros((2, 2)))
-        np.testing.assert_array_equal(theta, [0.0, 0.0])
-        assert mask.all()
-
-    @pytest.mark.parametrize("bad", [[np.inf, 0.0], [np.nan, 1.0], [1.0, -np.inf]])
-    def test_vectorized_rejects_non_finite_displacements(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            yaw_from_displacements(np.array([[1.0, 0.0], bad]))
 
 
 class TestHeadingVectors:

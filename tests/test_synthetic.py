@@ -1,5 +1,7 @@
 """Scene generator ground truth and the brute-force estimators."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,13 @@ class TestConfigValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({"pattern": "follow", "n_agents": 2, "what": 1})
+
+    def test_matrix_target_round_trips_as_json_lists(self):
+        target = np.array([[1.0, 0.3], [0.3, 1.0]])
+        payload = ScenarioConfig(pattern="follow", n_agents=2, target_rho=target).to_dict()
+        assert type(payload["target_rho"]) is list
+        again = ScenarioConfig.from_dict(json.loads(json.dumps(payload)))
+        assert again.target_rho == target.tolist()
 
 
 class TestCorrelationFor:

@@ -124,7 +124,11 @@ def _cmd_generate(args) -> int:
             scene_name = f"scene_{index:03d}.json"
             truth_name = f"scene_{index:03d}.truth.json"
             save_scene(scene, out_dir / scene_name)
-            write_json(truth.to_dict(), out_dir / truth_name)
+            if index:  # every scene shares one truth: copy the first one's bytes
+                (out_dir / truth_name).write_bytes(truth_bytes)
+            else:
+                write_json(truth.to_dict(), out_dir / truth_name)
+                truth_bytes = (out_dir / truth_name).read_bytes()
             artifacts.extend([scene_name, truth_name])
         _write_manifest(out_dir, "generate", config.to_dict(), config.seed, artifacts, started)
     print(f"wrote {len(scenes)} scene(s) to {out_dir}")
@@ -164,9 +168,7 @@ def _cmd_fit(args) -> int:
     )
     with _reading("dataset"):
         scenes, truth = _load_dataset_dir(dataset_dir)
-        dataset = FitDataset.from_scenes(
-            scenes, truth, feature_dim=config.feature_dim
-        )
+        dataset = FitDataset.from_scenes(scenes, truth)
 
     report = fit_parameters(config, dataset)
 

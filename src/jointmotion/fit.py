@@ -86,6 +86,9 @@ class FitConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         for name in ("max_iters", "seed", "feature_dim"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
@@ -160,9 +163,7 @@ class FitDataset:
     ``lateral_ss`` (T,) the mean sum of squared offsets across the
     headings.
 
-    ``latents`` are per-step stand-in backbone features for the
-    relevance-head parameterization: standard normal draws from PCG64
-    seeded with ``latent_seed``, shape (T, N, feature_dim).
+    :meth:`latents` draws a relevance head's inputs at its width (``feature_dim``).
     """
 
     def __init__(
@@ -172,8 +173,6 @@ class FitDataset:
         mu_delta: np.ndarray,
         sigma_delta: np.ndarray,
         futures: np.ndarray,
-        feature_dim: int = 8,
-        latent_seed: int = 0,
     ):
         self.current = checked_array(current, "current", (None, 2))
         n = self.current.shape[0]
@@ -196,7 +195,6 @@ class FitDataset:
         self.n_agents = n
         self.t_fut = t_fut
         self.n_futures = self.futures.shape[0]
-        self.n_pairs = pair_count(n)
 
         self.marginals: List[Marginals] = [
             projected_marginals(
@@ -220,17 +218,20 @@ class FitDataset:
                 "residual statistics are not finite: a future overflows its offset from the mean"
             )
 
-        rng = np.random.default_rng(latent_seed)
-        self.latents = rng.standard_normal((t_fut, n, feature_dim))
+        self._latents = {}  # width -> latents, drawn on first use
+
+    def latents(self, width: int) -> np.ndarray:
+        """Read-only (T, N, width) stand-in backbone features for a head of
+        that width: PCG64 standard normals seeded with 0, drawn once per
+        dataset and width (concurrent first calls draw equal values)."""
+        if width not in self._latents:
+            latents = np.random.default_rng(0).standard_normal((self.t_fut, self.n_agents, width))
+            latents.setflags(write=False)
+            self._latents[width] = latents
+        return self._latents[width]
 
     @classmethod
-    def from_scenes(
-        cls,
-        scenes: Sequence[Scene],
-        truth: SceneTruth,
-        feature_dim: int = 8,
-        latent_seed: int = 0,
-    ) -> "FitDataset":
+    def from_scenes(cls, scenes: Sequence[Scene], truth: SceneTruth) -> "FitDataset":
         """Build from scenes sharing one family (identical past and yaw)."""
         if not scenes:
             raise ValueError("dataset needs at least one scene")
@@ -248,18 +249,10 @@ class FitDataset:
             mu_delta=truth.mu_delta,
             sigma_delta=truth.sigma_delta,
             futures=futures,
-            feature_dim=feature_dim,
-            latent_seed=latent_seed,
         )
 
     @classmethod
-    def from_config(
-        cls,
-        config: ScenarioConfig,
-        n_futures: int,
-        feature_dim: int = 8,
-        latent_seed: int = 0,
-    ) -> "FitDataset":
+    def from_config(cls, config: ScenarioConfig, n_futures: int) -> "FitDataset":
         """Sample a family directly, skipping Scene object construction.
 
         Requires zero heading noise so all futures share one set of
@@ -276,8 +269,6 @@ class FitDataset:
             mu_delta=truth.mu_delta,
             sigma_delta=truth.sigma_delta,
             futures=futures,
-            feature_dim=feature_dim,
-            latent_seed=latent_seed,
         )
 
 
@@ -433,12 +424,7 @@ class RelevanceParams:
         return RelevanceParams(RelevanceHead.unpack(vector, self.head.feature_dim))
 
     def _forward(self, dataset: FitDataset):
-        if dataset.latents.shape[2] != self.head.feature_dim:
-            raise ValueError(
-                f"dataset latents have width {dataset.latents.shape[2]}, "
-                f"head expects {self.head.feature_dim}"
-            )
-        return relevance_forward_cached(dataset.latents, self.head)
+        return relevance_forward_cached(dataset.latents(self.head.feature_dim), self.head)
 
     def rho_matrices(self, dataset: FitDataset) -> np.ndarray:
         rho, _ = self._forward(dataset)

@@ -22,8 +22,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scene import json_fields, load_json, write_json
-
 
 class DegenerateFeatureError(ValueError):
     """A feature row has zero norm and admits no cosine similarity."""
@@ -79,10 +77,6 @@ class RelevanceHead:
             b_out=draw((d,)),
         )
 
-    @classmethod
-    def zeros_like(cls, other: "RelevanceHead") -> "RelevanceHead":
-        return cls(*(np.zeros_like(getattr(other, f.name)) for f in fields(other)))
-
     def pack(self) -> np.ndarray:
         """Flatten all parameters into one vector (fixed field order)."""
         return np.concatenate([getattr(self, f.name).ravel() for f in fields(self)])
@@ -102,22 +96,6 @@ class RelevanceHead:
             parts.append(vector[offset : offset + size].reshape(shape))
             offset += size
         return cls(*parts)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RelevanceHead":
-        names = [f.name for f in fields(cls)]
-        payload = json_fields(payload, "relevance head", names)
-        return cls(**{name: np.asarray(payload[name]) for name in names})
-
-    def save(self, path) -> None:
-        write_json(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "RelevanceHead":
-        return load_json(path, cls.from_dict)
 
 
 def _forward_cached(features: np.ndarray, head: RelevanceHead):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
@@ -151,11 +152,19 @@ def json_fields(
     return payload
 
 
-def _shaped(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
+def json_array(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """A decoded JSON array field (or number) as float64. Raises SceneFormatError
+    if it is not a regular nest of numbers or holds a string or boolean (numpy
+    reads ``"0.5"`` and ``true`` as numbers), SceneShapeError if ``shape`` differs."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise SceneFormatError(f"field '{name}' is not numeric: {exc}") from None
+    entries = [value]
+    for _ in range(arr.ndim):
+        entries = chain.from_iterable(entries)
+    if {str, bool}.intersection(map(type, entries)):
+        raise SceneFormatError(f"field '{name}' holds a string or boolean, not a number")
     if shape is not None and arr.shape != shape:
         raise SceneShapeError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
@@ -178,11 +187,11 @@ def scene_from_dict(payload: dict) -> Scene:
     payload = json_fields(payload, "scene", ("n", "t_obs", "t_fut", "past", "future", "yaw"))
     n, t_obs, t_fut = payload["n"], payload["t_obs"], payload["t_fut"]
     for name, value in (("n", n), ("t_obs", t_obs), ("t_fut", t_fut)):
-        if not isinstance(value, int) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise SceneFormatError(f"field '{name}' must be a positive integer")
-    past = _shaped(payload["past"], "past", (n, t_obs, 2))
-    future = _shaped(payload["future"], "future", (n, t_fut, 2))
-    yaw = _shaped(payload["yaw"], "yaw", (n, t_fut))
+    past = json_array(payload["past"], "past", (n, t_obs, 2))
+    future = json_array(payload["future"], "future", (n, t_fut, 2))
+    yaw = json_array(payload["yaw"], "yaw", (n, t_fut))
     return Scene(past=past, future=future, yaw=yaw)
 
 
@@ -335,8 +344,8 @@ def modes_to_dict(modes: ModeSet) -> dict:
 def modes_from_dict(payload: dict) -> ModeSet:
     payload = json_fields(payload, "prediction", ("modes",))
     scores = payload.get("scores")
-    scores = None if scores is None else _shaped(scores, "scores")
-    return ModeSet(_shaped(payload["modes"], "modes"), scores)
+    scores = None if scores is None else json_array(scores, "scores")
+    return ModeSet(json_array(payload["modes"], "modes"), scores)
 
 
 def load_modes(path: PathLike) -> ModeSet:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .increments import CorrelationMatrix, IncrementParams, InvalidCorrelationError
 from .increments import heading_vectors, wrap_angle
-from .scene import Scene, checked_array, json_fields
+from .scene import Scene, checked_array, json_array, json_fields
 
 PATTERNS = ("follow", "yield", "independent", "mixed")
 
@@ -62,6 +62,10 @@ class ScenarioConfig:
     n_scenes: int = 1
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
+        json_array(self.target_rho, "target_rho")  # no string or boolean entry
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if self.n_agents < 1:
@@ -139,9 +143,9 @@ class SceneTruth:
     def from_dict(cls, payload: dict) -> "SceneTruth":
         payload = json_fields(payload, "truth", ("rho", "mu_delta", "sigma_delta"))
         return cls(
-            rho=CorrelationMatrix(np.asarray(payload["rho"])),
-            mu_delta=np.asarray(payload["mu_delta"]),
-            sigma_delta=np.asarray(payload["sigma_delta"]),
+            rho=CorrelationMatrix(json_array(payload["rho"], "rho")),
+            mu_delta=json_array(payload["mu_delta"], "mu_delta"),
+            sigma_delta=json_array(payload["sigma_delta"], "sigma_delta"),
         )
 
 

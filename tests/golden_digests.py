@@ -138,7 +138,7 @@ def _family_digests(out: dict) -> None:
                 futures=futures,
             )
             out[f"dataset/{key}"] = digest(
-                dataset.residuals, dataset.scatter, dataset.lateral_ss, dataset.latents
+                dataset.residuals, dataset.scatter, dataset.lateral_ss, dataset.latents(8)
             )
             out[f"marginals/{key}"] = digest(
                 *[

@@ -8,9 +8,11 @@ guard, for one) are not counted. Run it from the repository root with
 
     python tests/line_coverage.py [pytest arguments]
 
-The pytest arguments default to the ``tests`` directory. The exit code is
-pytest's. The suite runs several times slower under the tracer than
-without it.
+The pytest arguments default to the ``tests`` directory. On that default
+run the exit code is 1 when a missed line is not in ``ALLOWED_MISSES``, or
+when an entry there matches no missed line, and pytest's otherwise; with
+arguments it is pytest's. The suite runs several times slower under the
+tracer than without it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,21 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jointmotion"
+
+_DPOTRF_ILLEGAL = 'raise ValueError(f"illegal value in argument {-info} of dpotrf")'
+_FIXED_ARGUMENTS = "dpotrf's arguments are fixed, so it never reports one illegal"
+
+# Lines the full suite misses on purpose, keyed by module and stripped
+# source text, with the reason.
+ALLOWED_MISSES = {
+    ("cli.py", "sys.exit(main())"): "the __main__ guard runs only in subprocesses, untraced",
+    ("fit.py", _DPOTRF_ILLEGAL): _FIXED_ARGUMENTS,
+    ("gaussian.py", _DPOTRF_ILLEGAL): _FIXED_ARGUMENTS,
+    ("increments.py", "raise"): (
+        "Marginals' fallback: when the one-block check fails, the field-by-field "
+        "check raises first"
+    ),
+}
 
 
 def executable_lines(path: Path) -> set:
@@ -100,14 +117,37 @@ def print_report(report: dict) -> None:
     print(f"total: {missed_total} of {total} executable lines missed")
 
 
+def unexplained(report: dict, allowed: dict = ALLOWED_MISSES) -> list:
+    """One message for each missed line that ``allowed`` does not list,
+    and for each ``allowed`` entry that matches no missed line."""
+    missed = set()
+    messages = []
+    for path, (_, lines) in report.items():
+        source = path.read_text(encoding="utf-8").splitlines()
+        for line in lines:
+            key = (path.name, source[line - 1].strip())
+            missed.add(key)
+            if key not in allowed:
+                messages.append(f"unexplained miss: {path.name}:{line}: {key[1]}")
+    for module, text in sorted(set(allowed) - missed):
+        messages.append(f"allowed miss no longer missed: {module}: {text}")
+    return messages
+
+
 def main(argv) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     collector = LineCollector()
     status = pytest.main(
         ["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])], plugins=[collector]
     )
-    print_report(collector.missed())
-    return int(status)
+    report = collector.missed()
+    print_report(report)
+    if argv or status:
+        return int(status)
+    messages = unexplained(report)
+    for message in messages:
+        print(message)
+    return 1 if messages else 0
 
 
 if __name__ == "__main__":

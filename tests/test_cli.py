@@ -80,6 +80,21 @@ class TestGenerate:
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["generate", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"base_speed": True, "noise_sigma": False}, {"n_scenes": True},
+         {"target_rho": [[1.0, True], [True, 1.0]]}],
+    )
+    def test_boolean_number_exits_one(self, tmp_path, capsys, override):
+        config = tmp_path / "config.json"
+        write_json(config, scenario_payload(**override))
+        capsys.readouterr()
+        assert main(["generate", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario config: "), err
+        assert "boolean" in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{oops")
@@ -240,6 +255,8 @@ class TestFit:
             '"seed": -1, "parameterization": "relevance-head"',
             '"max_iters": NaN',
             '"feature_dim": 2.5, "parameterization": "relevance-head"',
+            '"max_iters": true',
+            '"delta_reg": false',
         ],
     )
     def test_invalid_config_value_exits_one(self, tmp_path, capsys, override):
@@ -760,11 +777,16 @@ class TestDecodeErrorsNameTheirFile:
             ("fit.json", lambda path: write_json(path, [1]), 1),
             ("pred.json", drop("modes"), 1),
             ("pred.json", lambda path: write_json(path, {"modes": [[["x"]]]}), 1),
+            ("pred.json", lambda path: write_json(path, {"modes": [[[["0.5", True]]]]}), 1),
+            # as a number, true would be the diagonal's 1.0
+            ("scene_001.truth.json", lambda path: write_json(
+                path, edit_entry(json.loads(path.read_text()), "rho", True)), 1),
             ("gt.json", lambda path: write_json(path, []), 1),
         ],
         ids=[
             "scene-field", "scene-syntax", "scene-nan", "truth-field", "truth-missing",
-            "fit-config-unknown", "fit-config-list", "modes-field", "modes-text", "gt-list",
+            "fit-config-unknown", "fit-config-list", "modes-field", "modes-text",
+            "modes-string-entry", "truth-boolean-entry", "gt-list",
         ],
     )
     def test_fit_and_eval(self, tmp_path, capsys, target, edit, code):
@@ -902,17 +924,32 @@ def small_family(tmp_path_factory):
 
 
 class TestInputBoundary:
+    """Any node of an input file replaced by any JSON value ends in an exit
+    code and at most one error line; a number replaced by a string or a
+    boolean is an invalid input for every command that reads the file."""
+
+    # the commands that read each target
+    READERS = {
+        "dataset/scene_000.json": ("fit", "eval"),
+        "dataset/scene_001.truth.json": ("fit",),
+        "fit.json": ("fit",),
+        "pred.json": ("eval",),
+    }
+
     # eval reports a mode too large to subtract as an inf distance
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @example(target="dataset/scene_001.truth.json", node=0, value=[1, 2])
+    # a scene's agent count, a truth diagonal entry, a fit config number, a mode entry
+    @example(target="dataset/scene_000.json", node=1, value=True)
+    @example(target="dataset/scene_001.truth.json", node=3, value=True)
+    @example(target="fit.json", node=1, value=True)
+    @example(target="pred.json", node=5, value="0.5")
     @given(
-        target=st.sampled_from(
-            ["dataset/scene_000.json", "dataset/scene_001.truth.json", "fit.json", "pred.json"]
-        ),
+        target=st.sampled_from(sorted(READERS)),
         node=st.integers(0, 2**16),
         value=st.sampled_from(
-            [None, "", "x", [], [1, 2], {}, {"a": 1}, True, False,
+            [None, "", "x", "0.5", [], [1, 2], {}, {"a": 1}, True, False,
              1e308, -1e308, -1, -0.5, 10**400]
         ),
     )
@@ -923,17 +960,25 @@ class TestInputBoundary:
             path = root / target
             payload = json.loads(path.read_text())
             paths = list(_node_paths(payload))
-            path.write_text(json.dumps(_replaced(payload, paths[node % len(paths)], value)))
-            commands = [
-                ["fit", str(root / "dataset"), str(root / "fit.json"), "--out", str(root / "fit")],
-                ["eval", str(root / "pred.json"), str(root / "dataset" / "scene_000.json"),
-                 "--out", str(root / "metrics.csv")],
-            ]
-            for argv in commands:
+            node_path = paths[node % len(paths)]
+            original = payload
+            for key in node_path:
+                original = original[key]
+            invalid = type(original) in (int, float) and type(value) in (str, bool)
+            path.write_text(json.dumps(_replaced(payload, node_path, value)))
+            commands = {
+                "fit": ["fit", str(root / "dataset"), str(root / "fit.json"),
+                        "--out", str(root / "fit")],
+                "eval": ["eval", str(root / "pred.json"), str(root / "dataset" / "scene_000.json"),
+                         "--out", str(root / "metrics.csv")],
+            }
+            for command, argv in commands.items():
                 err = io.StringIO()
                 with redirect_stderr(err), redirect_stdout(io.StringIO()):
                     code = main(argv)
                 assert code in (0, 1, 2, 3)
+                if invalid and command in self.READERS[target]:
+                    assert code == 1, err.getvalue()
                 lines = err.getvalue().splitlines()
                 assert len(lines) <= 1, lines
                 assert all(line.startswith(("error:", "fit failed:")) for line in lines)

@@ -15,6 +15,7 @@ from jointmotion import (
     correlation_for,
     empirical_increment_pcc,
     increments_from_positions,
+    pair_count,
     scene_nll,
     tikhonov_regularize,
 )
@@ -339,7 +340,7 @@ class TestFitParameters:
         _, dataset = small_dataset(seed=12, n_futures=100)
         params = make_params(FitConfig(), dataset)
         assert type(params) is UnitRowRhoParams
-        assert params.raw.shape == (dataset.t_fut, dataset.n_pairs)
+        assert params.raw.shape == (dataset.t_fut, pair_count(dataset.n_agents))
 
     def test_follow_at_64_agents_fits_without_escalation(self):
         # the tanh map turned this fit indefinite at iterations 17 to 20
@@ -354,7 +355,7 @@ class TestFitParameters:
 
     def test_degenerate_features_end_the_fit_with_a_report(self):
         _, dataset = small_dataset(seed=11, n_futures=100)
-        zero_head = RelevanceHead.zeros_like(RelevanceHead.initialize(8, seed=0))
+        zero_head = RelevanceHead.unpack(np.zeros_like(RelevanceHead.initialize(8, 0).pack()), 8)
         config = FitConfig(parameterization="relevance-head", max_iters=20)
         report = fit_parameters(config, dataset, initial=RelevanceParams(zero_head))
         assert report.failure_flag
@@ -524,6 +525,17 @@ class TestFitParameters:
         report = fit_parameters(config, dataset)
         assert not report.failure_flag
         assert np.all(np.abs(report.recovered_rho[:, 0, 1] - 0.8) < 0.15)
+
+    def test_relevance_head_of_any_width_fits_a_sampled_dataset(self):
+        # the dataset draws its latents for the head's width
+        _, dataset = small_dataset(seed=21, n_futures=200)
+        config = FitConfig(parameterization="relevance-head", feature_dim=16, max_iters=5)
+        report = fit_parameters(config, dataset)
+        assert report.stop_reason == "max_iters", report.failure_reason
+        latents = dataset.latents(16)
+        assert latents is dataset.latents(16)
+        draw = np.random.default_rng(0).standard_normal((dataset.t_fut, dataset.n_agents, 16))
+        assert np.array_equal(latents, draw)
 
     def test_report_dict_round_trips_through_json(self, tmp_path):
         import json

@@ -1,7 +1,6 @@
-"""One JSON codec for every file: scenes, modes, truth sidecars, both
-configs and the relevance head round-trip bit for bit, and a file that
-lacks a required field or holds no object fails naming the field and the
-file."""
+"""One JSON codec for every file: scenes, modes, truth sidecars and both
+configs round-trip bit for bit, and a file that lacks a required field or
+holds no object fails naming the field and the file."""
 
 import json
 import re
@@ -18,7 +17,6 @@ from jointmotion import (
     CorrelationMatrix,
     FitConfig,
     ModeSet,
-    RelevanceHead,
     ScenarioConfig,
     Scene,
     SceneFormatError,
@@ -104,13 +102,6 @@ def fit_configs(draw):
     )
 
 
-@st.composite
-def heads(draw):
-    d = draw(SIZE)
-    names = ("w_query", "w_key", "w_value", "w_hidden", "b_hidden", "w_out", "b_out")
-    return RelevanceHead(*(draw(arrays((d,) if n.startswith("b_") else (d, d))) for n in names))
-
-
 @dataclass
 class Codec:
     values: st.SearchStrategy
@@ -174,13 +165,6 @@ CODECS = {
         fit_floats,
         None,  # every field has a default
     ),
-    "relevance-head": Codec(
-        heads(),
-        RelevanceHead.save,
-        RelevanceHead.load,
-        lambda h: [h.pack()],
-        "w_value",
-    ),
 }
 
 
@@ -223,23 +207,16 @@ def test_round_trip_is_bit_exact_and_bad_payloads_name_field_and_file(tmp_path, 
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("kind", ["relevance-head", "scene"])
-def test_non_finite_tokens_are_rejected_naming_the_file(tmp_path, kind, value):
+def test_non_finite_tokens_are_rejected_naming_the_file(tmp_path, value):
     # json.dumps writes these as NaN, Infinity and -Infinity, which
     # write_json never does
-    path = tmp_path / f"{kind}.json"
-    if kind == "scene":
-        payload = {"n": 1, "t_obs": 1, "t_fut": 1, "past": [[[0.0, 0.0]]],
-                   "future": [[[value, 0.0]]], "yaw": [[0.0]]}
-        load = load_scene
-    else:
-        payload = RelevanceHead.initialize(2, seed=0).to_dict()
-        payload["w_key"][0][0] = value
-        load = RelevanceHead.load
+    path = tmp_path / "scene.json"
+    payload = {"n": 1, "t_obs": 1, "t_fut": 1, "past": [[[0.0, 0.0]]],
+               "future": [[[value, 0.0]]], "yaw": [[0.0]]}
     path.write_text(json.dumps(payload))
     token = json.dumps(value)
     with pytest.raises(SceneFormatError, match=re.escape(f"{path}: {token} is not a JSON number")):
-        load(path)
+        load_scene(path)
 
 
 def stdlib_text(payload):
@@ -358,7 +335,11 @@ class TestWriterMatchesTheStdlib:
 class TestFailedWriteLeavesNoTrace:
     """A payload that cannot be encoded writes nothing at all."""
 
-    BAD = [({"a": [1.0, float("nan")]}, ValueError), ({"a": [1.0, object()]}, TypeError)]
+    BAD = [
+        ({"a": [1.0, float("nan")]}, ValueError),
+        ({"a": [1.0, object()]}, TypeError),
+        ({"a": np.array([[1.0], [float("nan")]])}, ValueError),
+    ]
 
     @pytest.mark.parametrize("payload, error", BAD)
     def test_no_file_is_created(self, tmp_path, payload, error):
@@ -375,13 +356,3 @@ class TestFailedWriteLeavesNoTrace:
         with pytest.raises(error):
             write_json(payload, path)
         assert path.read_bytes() == before
-
-    def test_relevance_head_with_nan_weight_keeps_the_saved_head(self, tmp_path):
-        path = tmp_path / "head.json"
-        head = RelevanceHead.initialize(2, seed=0)
-        head.save(path)
-        weights = head.to_dict()
-        weights["w_key"][0][0] = float("nan")
-        with pytest.raises(ValueError, match="not JSON compliant: nan"):
-            RelevanceHead(**weights).save(path)
-        assert same_bits(RelevanceHead.load(path).pack(), head.pack())

@@ -34,13 +34,6 @@ class TestHeadParameters:
         again = RelevanceHead.unpack(head.pack(), 6)
         np.testing.assert_array_equal(head.pack(), again.pack())
 
-    def test_json_round_trip(self, tmp_path):
-        head = RelevanceHead.initialize(5, seed=1)
-        path = tmp_path / "head.json"
-        head.save(path)
-        loaded = RelevanceHead.load(path)
-        np.testing.assert_array_equal(head.pack(), loaded.pack())
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RelevanceHead(

@@ -18,6 +18,7 @@ from jointmotion import (
     Marginals,
     ScenarioConfig,
     Scene,
+    SceneFormatError,
     SceneShapeError,
     assemble_joint,
     correlation_for,
@@ -30,10 +31,10 @@ from jointmotion.fit import (
     DirectRhoParams,
     FitConfig,
     FitDataset,
-    RelevanceParams,
     finite_difference_gradient,
 )
 from jointmotion.relevance import RelevanceHead, relevance_forward_cached
+from jointmotion.scene import json_array, scene_from_dict
 
 EYE2 = np.eye(2)
 EYE3 = np.eye(3)
@@ -53,7 +54,7 @@ def joint2():
     return JointGaussian(mean=np.zeros(2), cov=EYE2)
 
 
-def dataset(n_agents=2, futures_shape=None, feature_dim=8):
+def dataset(n_agents=2, futures_shape=None):
     """A one-step family of two futures, or one with the given futures shape."""
     shape = futures_shape or (2, n_agents, 1, 2)
     return FitDataset(
@@ -62,7 +63,6 @@ def dataset(n_agents=2, futures_shape=None, feature_dim=8):
         mu_delta=np.ones((1, n_agents)),
         sigma_delta=np.ones((1, n_agents)),
         futures=np.arange(np.prod(shape), dtype=np.float64).reshape(shape),
-        feature_dim=feature_dim,
     )
 
 
@@ -76,6 +76,12 @@ CHECKS = {
     ),
     "FitConfig-feature_dim": (
         lambda: FitConfig(feature_dim=0), ValueError, "feature_dim must be >= 1"
+    ),
+    "FitConfig-max_iters": (
+        lambda: FitConfig(max_iters=0), ValueError, "max_iters must be >= 1"
+    ),
+    "FitConfig-boolean": (
+        lambda: FitConfig(max_iters=True), ValueError, "max_iters must be a number, not a boolean"
     ),
     "FitDataset-agents": (
         lambda: dataset(n_agents=0), ValueError, "dataset needs at least one agent"
@@ -102,11 +108,6 @@ CHECKS = {
         lambda: DirectRhoParams.from_rho(np.ones((2, 2)), t_fut=1),
         ValueError,
         "tanh parameterization needs |rho| < 1",
-    ),
-    "RelevanceParams-width": (
-        lambda: RelevanceParams.initialize(4, 0).value(dataset(), 1e-2),
-        ValueError,
-        "dataset latents have width 8, head expects 4",
     ),
     "finite_difference_gradient-step": (
         lambda: finite_difference_gradient(np.sum, np.zeros(2), 0.0),
@@ -200,6 +201,29 @@ CHECKS = {
         lambda: ScenarioConfig("follow", 2, heading_noise=-1.0),
         ValueError,
         "heading_noise must be nonnegative",
+    ),
+    "ScenarioConfig-boolean": (
+        lambda: ScenarioConfig("follow", 2, base_speed=True),
+        ValueError,
+        "base_speed must be a number, not a boolean",
+    ),
+    "ScenarioConfig-target_rho-entries": (
+        lambda: ScenarioConfig("follow", 2, target_rho=[[1.0, False], [False, 1.0]]),
+        SceneFormatError,
+        "field 'target_rho' holds a string or boolean, not a number",
+    ),
+    "json_array-entries": (
+        lambda: json_array([[1.0, "0.5"]], "future"),
+        SceneFormatError,
+        "field 'future' holds a string or boolean, not a number",
+    ),
+    "scene_from_dict-header": (
+        lambda: scene_from_dict(
+            {"n": True, "t_obs": 1, "t_fut": 1, "past": [[[0, 0]]], "future": [[[0, 0]]],
+             "yaw": [[0]]}
+        ),
+        SceneFormatError,
+        "field 'n' must be a positive integer",
     ),
     "ScenarioConfig-n_scenes": (
         lambda: ScenarioConfig("follow", 2, n_scenes=0), ValueError, "n_scenes must be >= 1"

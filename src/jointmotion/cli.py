@@ -181,10 +181,7 @@ def _cmd_fit(args) -> int:
             writer.writerow(["iteration", "nll"])
             for index, value in enumerate(np.asarray(report.nll_trace)):
                 writer.writerow([index, repr(float(value))])
-        write_json(
-            {"rho": np.asarray(report.recovered_rho).tolist()},
-            out_dir / "recovered_rho.json",
-        )
+        write_json({"rho": report.recovered_rho}, out_dir / "recovered_rho.json")
         _write_manifest(
             out_dir,
             "fit",

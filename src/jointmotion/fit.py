@@ -30,7 +30,6 @@ deterministic given the seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -47,7 +46,7 @@ from .relevance import (
     relevance_backward,
     relevance_forward_cached,
 )
-from .scene import Scene, checked_array, json_fields
+from .scene import Scene, check_numbers, checked_array, json_fields
 from .synthetic import SceneTruth, ScenarioConfig, sample_future_positions
 
 ADAM_BETA1 = 0.9
@@ -86,15 +85,11 @@ class FitConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, not a boolean")
-        for name in ("max_iters", "seed", "feature_dim"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        for name in ("learning_rate", "delta_reg", "convergence_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_numbers(
+            self,
+            ("max_iters", "seed", "feature_dim"),
+            ("learning_rate", "delta_reg", "convergence_tol"),
+        )
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.max_iters < 1:
@@ -141,14 +136,11 @@ class FitReport:
     failure_reason: Optional[str] = None
 
     def to_dict(self) -> dict:
+        """The report's JSON payload for :func:`write_json`: ``nll_trace`` and
+        ``recovered_rho`` stay float64 arrays, so ``json.dumps`` rejects it."""
         final = self.final_nll
-        return {
-            **asdict(self),
-            # strict JSON: a failed fit has no final objective value
-            "final_nll": None if np.isnan(final) else float(final),
-            "nll_trace": np.asarray(self.nll_trace).tolist(),
-            "recovered_rho": np.asarray(self.recovered_rho).tolist(),
-        }
+        # strict JSON: a failed fit has no final objective value
+        return {**asdict(self), "final_nll": None if np.isnan(final) else float(final)}
 
 
 class FitDataset:
@@ -435,7 +427,7 @@ class RelevanceParams:
     ) -> Tuple[float, np.ndarray]:
         rho, cache = self._forward(dataset)
         value, d_rho = _nll_over_rho(rho, dataset, delta_reg, want_grad=True)
-        return value, relevance_backward(cache, d_rho, self.head).pack()
+        return value, relevance_backward(cache, d_rho, self.head)
 
     def value(self, dataset: FitDataset, delta_reg: float) -> float:
         rho, _ = self._forward(dataset)
@@ -481,10 +473,8 @@ def _nll_over_rho(
     d_rho = np.zeros_like(rho) if want_grad else None
     for t in range(dataset.t_fut):
         lower, info = dpotrf(cov[t], lower=1, clean=1)
-        if info > 0:
+        if info:  # the fixed arguments rule out info < 0 (an illegal argument)
             raise StepFactorizationError(step=t, pivot=info - 1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpotrf")
         log_det = 2.0 * float(np.log(lower.diagonal()).sum())
         # whitened scatter W = L^-1 S L^-T, so tr(A^-1 S) = tr(W)
         half = solve_triangular(lower, dataset.scatter[t])
@@ -560,7 +550,6 @@ def fit_parameters(
     params = make_params(config, dataset) if initial is None else initial
     x = x_finite = params.vector()
     delta = config.delta_reg
-    escalated = False
     failure_reason = None
     stop_reason = "max_iters"
 
@@ -574,11 +563,10 @@ def fit_parameters(
             if not math.isfinite(value):
                 raise FloatingPointError(f"the objective is {value}")
         except NotPositiveDefiniteError as exc:
-            if not escalated and delta * 10.0 != delta:
-                escalated = True
+            if delta == config.delta_reg and delta * 10.0 != delta:
                 delta = delta * 10.0
                 continue
-            after = " after delta escalation" if escalated else ""
+            after = " after delta escalation" if delta != config.delta_reg else ""
             failure_reason = f"factorization failed{after}: {exc}"
             break
         except (FloatingPointError, DegenerateFeatureError) as exc:
@@ -597,12 +585,11 @@ def fit_parameters(
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:
             stop_reason = "convergence_tol"
             break
-        if x.size:
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
-            v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
-            x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
+        v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
+        x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     try:
         recovered = _clipped_rho(params.with_vector(x), dataset)

@@ -145,10 +145,8 @@ def cholesky_factor(cov: np.ndarray) -> CholeskyFactor:
     """
     cov = symmetric_matrix(cov)
     lower, info = dpotrf(cov, lower=1, clean=1)
-    if info > 0:
+    if info:  # the fixed arguments rule out info < 0 (an illegal argument)
         raise NotPositiveDefiniteError(info - 1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
     log_det = 2.0 * float(np.log(lower.diagonal()).sum())
     return CholeskyFactor(lower=lower, log_det=log_det)
 

@@ -98,37 +98,6 @@ class RelevanceHead:
         return cls(*parts)
 
 
-def _forward_cached(features: np.ndarray, head: RelevanceHead):
-    features = np.asarray(features, dtype=np.float64)
-    d = head.feature_dim
-    if features.ndim not in (2, 3) or features.shape[-1] != d:
-        raise ValueError(f"features: expected (N, {d}) or (T, N, {d}), got {features.shape}")
-    if not np.all(np.isfinite(features)):
-        raise ValueError("features contain non-finite values")
-    q = features @ head.w_query
-    k = features @ head.w_key
-    v = features @ head.w_value
-    scores = (q @ k.mT) / np.sqrt(d)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    attn = weights / weights.sum(axis=-1, keepdims=True)
-    mixed = attn @ v
-    pre = mixed @ head.w_hidden + head.b_hidden
-    hidden = np.tanh(pre)
-    out = hidden @ head.w_out + head.b_out
-    cache = {
-        "features": features,
-        "q": q,
-        "k": k,
-        "v": v,
-        "attn": attn,
-        "mixed": mixed,
-        "hidden": hidden,
-        "out": out,
-    }
-    return out, cache
-
-
 def cosine_gram(features: np.ndarray):
     """Cosine similarity of the rows, with unit diagonal, and the row norms
     and unit rows it is built from. Works on (N, d) or a (T, N, d) stack.
@@ -171,20 +140,48 @@ def relevance_forward_cached(features: np.ndarray, head: RelevanceHead):
     cache) where ``rho`` is the raw (N, N) similarity matrix with unit
     diagonal, or the (T, N, N) stack of them.
     """
-    out, cache = _forward_cached(features, head)
-    rho, cache["norms"], cache["unit"] = cosine_gram(out)
+    features = np.asarray(features, dtype=np.float64)
+    d = head.feature_dim
+    if features.ndim not in (2, 3) or features.shape[-1] != d:
+        raise ValueError(f"features: expected (N, {d}) or (T, N, {d}), got {features.shape}")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features contain non-finite values")
+    q = features @ head.w_query
+    k = features @ head.w_key
+    v = features @ head.w_value
+    scores = (q @ k.mT) / np.sqrt(d)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted)
+    attn = weights / weights.sum(axis=-1, keepdims=True)
+    mixed = attn @ v
+    pre = mixed @ head.w_hidden + head.b_hidden
+    hidden = np.tanh(pre)
+    out = hidden @ head.w_out + head.b_out
+    rho, norms, unit = cosine_gram(out)
+    cache = {
+        "features": features,
+        "q": q,
+        "k": k,
+        "v": v,
+        "attn": attn,
+        "mixed": mixed,
+        "hidden": hidden,
+        "out": out,
+        "norms": norms,
+        "unit": unit,
+    }
     return rho, cache
 
 
-def relevance_backward(cache: dict, d_rho: np.ndarray, head: RelevanceHead) -> RelevanceHead:
-    """Gradients of a scalar loss with respect to all head parameters.
+def relevance_backward(cache: dict, d_rho: np.ndarray, head: RelevanceHead) -> np.ndarray:
+    """Gradient of a scalar loss with respect to all head parameters,
+    packed in :meth:`RelevanceHead.pack` order.
 
     ``d_rho`` is the loss gradient with respect to the similarity
     matrix, shaped like the ``rho`` of the forward pass; its diagonal is
     ignored (the diagonal is pinned to 1). For a stack the per-step
     gradients are added in step order, so the result is bit-identical to
-    summing single-step calls one after the other from zero. Returns the
-    gradients packed in a :class:`RelevanceHead` container.
+    summing single-step calls one after the other from zero.
     """
     features = cache["features"]
     d = features.shape[-1]
@@ -218,8 +215,8 @@ def relevance_backward(cache: dict, d_rho: np.ndarray, head: RelevanceHead) -> R
         d_b_out,
     )
     if features.ndim == 2:
-        return RelevanceHead(*grads)
+        return np.concatenate([g.ravel() for g in grads])
     # Reduced as packed (T, P) rows, numpy adds the steps in order; a
     # width-1 field (d = 1) reduced on its own would be summed pairwise.
     steps = np.concatenate([g.reshape(len(g), -1) for g in grads], axis=1)
-    return RelevanceHead.unpack(np.add.reduce(steps, axis=0, initial=0.0), d)
+    return np.add.reduce(steps, axis=0, initial=0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -50,9 +51,15 @@ def checked_array(value, name: str, shape: tuple, error: type = ValueError) -> n
     allowed.
 
     Raises:
-        error: the shape differs, or an entry is NaN or infinite.
+        error: ``value`` holds complex, datetime, timedelta or string
+            entries (a float64 cast would drop the imaginary part, count
+            days or parse text), the shape differs, or an entry is NaN or
+            infinite.
     """
-    arr = np.array(value, dtype=np.float64)
+    arr = np.asarray(value)
+    if arr.dtype.kind in "cmMSU":
+        raise error(f"{name} must hold real numbers, not {arr.dtype}")
+    arr = np.array(arr, dtype=np.float64)
     if arr.shape != shape and (
         arr.ndim != len(shape)
         or any(want is not None and got != want for got, want in zip(arr.shape, shape))
@@ -152,6 +159,22 @@ def json_fields(
     return payload
 
 
+def check_numbers(config, integers: Iterable[str], floats: Iterable[str]) -> None:
+    """Check a config's number fields, raising ValueError naming the field:
+    no field holds a boolean (``numbers.Integral`` and numpy take ``True``
+    as 1), each of ``integers`` holds an integer and each of ``floats`` a
+    finite number."""
+    for name, value in vars(config).items():
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, not a boolean")
+    for name in integers:
+        if not isinstance(getattr(config, name), numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+    for name in floats:
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 def json_array(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
     """A decoded JSON array field (or number) as float64. Raises SceneFormatError
     if it is not a regular nest of numbers or holds a string or boolean (numpy
@@ -195,26 +218,6 @@ def scene_from_dict(payload: dict) -> Scene:
     return Scene(past=past, future=future, yaw=yaw)
 
 
-def read_json(path: PathLike):
-    """Parse a strict JSON file, as :func:`write_json` writes them.
-
-    Raises:
-        SceneFormatError: the file is not valid JSON, holds a ``NaN``,
-            ``Infinity`` or ``-Infinity`` token, or nests deeper than the
-            decoder's recursion limit.
-        OSError: the file cannot be read.
-    """
-
-    def reject(token):
-        raise SceneFormatError(f"{path}: {token} is not a JSON number")
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle, parse_constant=reject)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise SceneFormatError(f"{path}: {exc}") from None
-
-
 def _key_text(key) -> str:
     if not isinstance(key, str):
         if not isinstance(key, (int, float)) and key is not None:
@@ -251,14 +254,8 @@ def _json_text(value, indent: str) -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        try:
-            text = ("," + inner).join(map(float.__repr__, value))
-        except TypeError:  # an item that is not a float
-            text = None
-        # no finite float's repr holds an "n"; the per-item path rejects nan and inf
-        if text is None or "n" in text:
-            text = ("," + inner).join([_json_text(item, inner) for item in value])
-        return "[" + inner + text + indent + "]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -299,15 +296,26 @@ def write_json(payload, path: PathLike) -> None:
 
 
 def load_json(path: PathLike, decode: Callable):
-    """Decode a JSON file with ``decode``. The value errors, type errors
-    and arithmetic errors that ``decode`` raises keep their class and gain
-    the file name, so a bad file among many can be found.
+    """Parse a strict JSON file, as :func:`write_json` writes them, and
+    decode it with ``decode``: the one JSON reader. The value errors, type
+    errors and arithmetic errors that ``decode`` raises keep their class and
+    gain the file name, so a bad file among many can be found.
 
     Raises:
-        SceneFormatError: the file is not valid JSON.
+        SceneFormatError: the file is not valid JSON, holds a ``NaN``,
+            ``Infinity`` or ``-Infinity`` token, or nests deeper than the
+            decoder's recursion limit.
         OSError: the file cannot be read.
     """
-    payload = read_json(path)
+
+    def reject(token):
+        raise SceneFormatError(f"{path}: {token} is not a JSON number")
+
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle, parse_constant=reject)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise SceneFormatError(f"{path}: {exc}") from None
     try:
         return decode(payload)
     except (ValueError, TypeError, ArithmeticError) as exc:

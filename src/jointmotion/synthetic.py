@@ -25,14 +25,13 @@ import numpy as np
 
 from .increments import CorrelationMatrix, IncrementParams, InvalidCorrelationError
 from .increments import heading_vectors, wrap_angle
-from .scene import Scene, checked_array, json_array, json_fields
+from .scene import Scene, check_numbers, checked_array, json_array, json_fields
 
 PATTERNS = ("follow", "yield", "independent", "mixed")
 
 # Sub-streams of the scenario seed (PCG64 seeded with [seed, stream]).
 _STREAM_FAMILY = 0
 _STREAM_FUTURES = 1
-_STREAM_LATENTS = 2
 
 
 @dataclass
@@ -62,9 +61,11 @@ class ScenarioConfig:
     n_scenes: int = 1
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, not a boolean")
+        check_numbers(
+            self,
+            ("n_agents", "t_obs", "t_fut", "seed", "n_scenes"),
+            ("base_speed", "noise_sigma", "curvature", "heading_noise"),
+        )
         json_array(self.target_rho, "target_rho")  # no string or boolean entry
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
@@ -72,6 +73,8 @@ class ScenarioConfig:
             raise ValueError("n_agents must be >= 1")
         if self.t_obs < 1 or self.t_fut < 1:
             raise ValueError("t_obs and t_fut must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.base_speed <= 0.0:
             raise ValueError("base_speed must be positive")
         if self.noise_sigma < 0.0:

@@ -29,15 +29,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jointmotion"
 
-_DPOTRF_ILLEGAL = 'raise ValueError(f"illegal value in argument {-info} of dpotrf")'
-_FIXED_ARGUMENTS = "dpotrf's arguments are fixed, so it never reports one illegal"
-
 # Lines the full suite misses on purpose, keyed by module and stripped
 # source text, with the reason.
 ALLOWED_MISSES = {
     ("cli.py", "sys.exit(main())"): "the __main__ guard runs only in subprocesses, untraced",
-    ("fit.py", _DPOTRF_ILLEGAL): _FIXED_ARGUMENTS,
-    ("gaussian.py", _DPOTRF_ILLEGAL): _FIXED_ARGUMENTS,
     ("increments.py", "raise"): (
         "Marginals' fallback: when the one-block check fails, the field-by-field "
         "check raises first"

@@ -95,6 +95,24 @@ class TestGenerate:
         assert "boolean" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("t_fut", "2.5", "t_fut must be an integer"),
+            ("seed", "-1", "seed must be nonnegative"),
+            ("base_speed", "1e309", "base_speed must be finite"),  # parses to inf
+        ],
+    )
+    def test_bad_number_exits_one_naming_field_and_file(
+        self, tmp_path, capsys, field, value, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(scenario_payload(**{field: "VALUE"})).replace('"VALUE"', value))
+        capsys.readouterr()
+        assert main(["generate", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: invalid scenario config: {config}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_config_exits_one(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{oops")
@@ -397,6 +415,37 @@ class TestFit:
         assert main(["fit", str(dataset), str(fit_config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: invalid dataset: {sidecar}: {message}\n"
+        assert not out.exists()
+
+    def test_disagreeing_truth_sidecar_exits_one_naming_it(self, tmp_path, capsys):
+        dataset = make_dataset_dir(tmp_path, n_scenes=3)
+        sidecar = dataset / "scene_001.truth.json"
+        truth = json.loads(sidecar.read_text())
+        truth["rho"][0][1] = truth["rho"][1][0] = 0.5  # valid, but not the first sidecar's 0.8
+        write_json(sidecar, truth)
+        fit_config = tmp_path / "fit.json"
+        write_json(fit_config, {"max_iters": 5})
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        assert main(["fit", str(dataset), str(fit_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: invalid dataset: {sidecar} disagrees with earlier ground truth\n"
+        assert not out.exists()
+
+    def test_scenes_of_two_families_exit_one(self, tmp_path, capsys):
+        dataset = make_dataset_dir(tmp_path, n_scenes=3, seed=7)
+        (tmp_path / "other").mkdir()
+        other = make_dataset_dir(tmp_path / "other", n_scenes=1, seed=8)
+        # another seed's scene, under a copy of the first scene's sidecar
+        shutil.copy(other / "scene_000.json", dataset / "scene_003.json")
+        shutil.copy(dataset / "scene_000.truth.json", dataset / "scene_003.truth.json")
+        fit_config = tmp_path / "fit.json"
+        write_json(fit_config, {"max_iters": 5})
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        assert main(["fit", str(dataset), str(fit_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid dataset: scenes do not share one past/yaw family\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

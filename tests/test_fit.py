@@ -36,6 +36,7 @@ from jointmotion.fit import (
 )
 from jointmotion.gaussian import solve_triangular
 from jointmotion.relevance import RelevanceHead
+from jointmotion.scene import write_json
 
 LOG_TWO_PI = np.log(2.0 * np.pi)
 
@@ -543,7 +544,7 @@ class TestFitParameters:
         _, dataset = small_dataset(seed=20, n_futures=100)
         report = fit_parameters(FitConfig(max_iters=20), dataset)
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(report.to_dict()))
+        write_json(report.to_dict(), path)
         loaded = json.loads(path.read_text())
         assert loaded["iterations_run"] == report.iterations_run
         np.testing.assert_allclose(loaded["recovered_rho"], report.recovered_rho)

@@ -45,6 +45,18 @@ def exported_names(init):
     ]
 
 
+def defined_names(path):
+    """The names ``path`` defines or assigns at module level; imports aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
 def referenced_names(path):
     """Names that ``path`` loads, bare or as an attribute, outside the
     ``def`` or ``class`` that defines each; comments and imports do not count."""
@@ -107,3 +119,27 @@ def test_use_rule_ignores_definitions_imports_and_comments(tmp_path):
         "    stored = 1\n"
     )
     assert referenced_names(source) == {"n", "jm", "attribute_use", "bare_use"}
+
+
+def test_every_module_level_name_is_read_outside_its_definition():
+    used = set().union(*(referenced_names(path) for path in USERS))
+    unread = [
+        f"{path.name}: {name}" for path in MODULES for name in defined_names(path) if name not in used
+    ]
+    assert unread == []
+
+
+def test_definition_rule_sees_module_level_names_only(tmp_path):
+    source = tmp_path / "example.py"
+    source.write_text(
+        "import os\n"
+        "from .fit import imported\n"
+        "A = 1\n"
+        "B: int = 2\n"
+        "C, (D, E) = 3, (4, 5)\n"
+        "def f():\n"
+        "    local = 1\n"
+        "class K:\n"
+        "    attribute = 2\n"
+    )
+    assert list(defined_names(source)) == ["A", "B", "C", "D", "E", "f", "K"]

@@ -139,7 +139,7 @@ class TestPipeline:
             return float(np.sum(weights * rho))
 
         rho, cache = relevance_forward_cached(features, head)
-        analytic = relevance_backward(cache, weights, head).pack()
+        analytic = relevance_backward(cache, weights, head)
         numeric = finite_difference_gradient(loss, head.pack(), 1e-6)
         assert np.max(relative_gradient_errors(analytic, numeric)) < 1e-7
 
@@ -167,11 +167,11 @@ class TestStackedSteps:
         # the per-step packs added up in step order, as a loop over steps would
         total = np.zeros(head.pack().size)
         for s, (_, cache_s) in enumerate(steps):
-            total += relevance_backward(cache_s, d_rho[s], head).pack()
-        stacked = relevance_backward(cache, d_rho, head).pack()
+            total += relevance_backward(cache_s, d_rho[s], head)
+        stacked = relevance_backward(cache, d_rho, head)
         assert np.array_equal(stacked, total)
 
         diagonal = np.arange(n)
         other_diagonal = d_rho.copy()
         other_diagonal[:, diagonal, diagonal] = rng.standard_normal((t, n)) * 1e3
-        assert np.array_equal(relevance_backward(cache, other_diagonal, head).pack(), stacked)
+        assert np.array_equal(relevance_backward(cache, other_diagonal, head), stacked)

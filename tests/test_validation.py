@@ -34,7 +34,7 @@ from jointmotion.fit import (
     finite_difference_gradient,
 )
 from jointmotion.relevance import RelevanceHead, relevance_forward_cached
-from jointmotion.scene import json_array, scene_from_dict
+from jointmotion.scene import checked_array, json_array, scene_from_dict
 
 EYE2 = np.eye(2)
 EYE3 = np.eye(3)
@@ -224,6 +224,37 @@ CHECKS = {
         ),
         SceneFormatError,
         "field 'n' must be a positive integer",
+    ),
+    "ScenarioConfig-integer": (
+        lambda: ScenarioConfig("follow", 2, t_fut=2.5), ValueError, "t_fut must be an integer"
+    ),
+    "ScenarioConfig-finite": (
+        lambda: ScenarioConfig("follow", 2, base_speed=float("inf")),
+        ValueError,
+        "base_speed must be finite",
+    ),
+    "ScenarioConfig-seed": (
+        lambda: ScenarioConfig("follow", 2, seed=-1), ValueError, "seed must be nonnegative"
+    ),
+    "checked_array-complex": (
+        lambda: checked_array(np.array([1.0 + 0.5j]), "mean", (None,)),
+        ValueError,
+        "mean must hold real numbers, not complex128",
+    ),
+    "checked_array-datetime64": (
+        lambda: checked_array(np.array(["2020-01-02"], dtype="datetime64[D]"), "mean", (None,)),
+        ValueError,
+        "mean must hold real numbers, not datetime64[D]",
+    ),
+    "checked_array-timedelta64": (
+        lambda: checked_array(np.array([3], dtype="timedelta64[s]"), "mean", (None,)),
+        ValueError,
+        "mean must hold real numbers, not timedelta64[s]",
+    ),
+    "checked_array-string": (
+        lambda: Scene(past=[[["0.5", "1"]]], future=np.zeros((1, 1, 2)), yaw=np.zeros((1, 1))),
+        SceneShapeError,
+        "past must hold real numbers, not <U3",
     ),
     "ScenarioConfig-n_scenes": (
         lambda: ScenarioConfig("follow", 2, n_scenes=0), ValueError, "n_scenes must be >= 1"

@@ -8,10 +8,11 @@ override flags; no environment variables. Every run writes exactly one
 ``run_manifest.json`` describing the command, the effective config, the
 artifacts and the wall-clock duration.
 
-Exit codes: 0 ok, 1 invalid config or shape mismatch, 2 I/O failure,
-3 fit failure, 4 gradient-check failure. A failure prints one line to
-stderr: ``error: ...``, or ``fit failed: ...`` after a fit's report is
-written. An input file that cannot be decoded is named in its line.
+Exit codes: 0 ok, 1 invalid config or shape mismatch (or an input too
+large for memory), 2 I/O failure, 3 fit failure, 4 gradient-check
+failure. A failure prints one line to stderr: ``error: ...``, or ``fit
+failed: ...`` after a fit's report is written. An input file that cannot
+be decoded is named in its line.
 
 CSV output uses '.' decimals, ',' separators, a header row and LF line
 endings, so outputs are stable for golden-file comparisons.
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
     except _Failure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return failure.code
+    except MemoryError as exc:  # an input whose arrays exceed the machine's memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

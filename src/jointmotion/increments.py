@@ -316,8 +316,7 @@ def equivalence_check(
     """
     if approx_theta is None:
         approx_theta = theta
-    approx_theta = np.asarray(approx_theta, dtype=np.float64)
-    direct = project_increments(inc, corr, np.asarray(theta, dtype=np.float64), current)
+    direct = project_increments(inc, corr, theta, current)
     marg = projected_marginals(inc, approx_theta, current)
     assembled = assemble_joint(marg, corr, approx_theta)
     return float(np.max(np.abs(direct.cov - assembled.cov)))

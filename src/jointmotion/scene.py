@@ -14,7 +14,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
@@ -163,7 +162,7 @@ def check_numbers(config, integers: Iterable[str], floats: Iterable[str]) -> Non
     """Check a config's number fields, raising ValueError naming the field:
     no field holds a boolean (``numbers.Integral`` and numpy take ``True``
     as 1), each of ``integers`` holds an integer and each of ``floats`` a
-    finite number."""
+    real number that is finite as a float."""
     for name, value in vars(config).items():
         if isinstance(value, bool):
             raise ValueError(f"{name} must be a number, not a boolean")
@@ -171,7 +170,11 @@ def check_numbers(config, integers: Iterable[str], floats: Iterable[str]) -> Non
         if not isinstance(getattr(config, name), numbers.Integral):
             raise ValueError(f"{name} must be an integer")
     for name in floats:
-        if not math.isfinite(getattr(config, name)):
+        try:
+            finite = math.isfinite(getattr(config, name))
+        except (TypeError, OverflowError) as exc:  # not a number, or an int beyond a float
+            raise ValueError(f"{name}: {exc}") from None
+        if not finite:
             raise ValueError(f"{name} must be finite")
 
 
@@ -181,7 +184,7 @@ def json_array(value, name: str, shape: Optional[tuple] = None) -> np.ndarray:
     reads ``"0.5"`` and ``true`` as numbers), SceneShapeError if ``shape`` differs."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SceneFormatError(f"field '{name}' is not numeric: {exc}") from None
     entries = [value]
     for _ in range(arr.ndim):
@@ -225,7 +228,7 @@ def _key_text(key) -> str:
                 f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
             )
         key = _json_text(key, "")
-    return encode_basestring_ascii(key)
+    return json.dumps(key)
 
 
 def _array_template(shape: tuple, indent: str) -> str:
@@ -241,42 +244,32 @@ def _array_template(shape: tuple, indent: str) -> str:
     return "[" + inner + ("," + inner).join([item] * shape[0]) + indent + "]"
 
 
+# what _json_text walks into rather than hand to json.dumps
+_NESTED = (list, tuple, dict, np.ndarray)
+
+
 def _json_text(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, allow_nan=False)`` writes
     it at the nesting level whose line break and indent is ``indent``; a
-    float64 ndarray as its ``tolist()`` would be."""
+    float64 ndarray as its ``tolist()`` would be.
+
+    Only float64 arrays, and the lists, tuples and dicts that hold an array
+    or another container, are written here; ``json.dumps`` writes every
+    other value, so its bytes and errors are the stdlib's own.
+    """
     if isinstance(value, np.ndarray) and value.dtype == np.float64:
         # Python floats only: '%r' of an np.float64 is "np.float64(...)"
         text = _array_template(value.shape, indent) % tuple(value.ravel().tolist())
-        # no finite float's repr holds an "n"; the per-item path rejects nan and inf
+        # no finite float's repr holds an "n"; json.dumps rejects nan and inf
         return _json_text(value.tolist(), indent) if "n" in text else text
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
+    inner = indent + "  "
+    if isinstance(value, dict) and any(isinstance(v, _NESTED) for v in value.values()):
         items = [_key_text(k) + ": " + _json_text(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if isinstance(value, (list, tuple)) and any(isinstance(v, _NESTED) for v in value):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", indent)
 
 
 def write_json(payload, path: PathLike) -> None:

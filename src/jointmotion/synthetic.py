@@ -40,8 +40,9 @@ class ScenarioConfig:
 
     ``target_rho`` is either a scalar correlation magnitude applied to
     the pattern's designated pairs, or a full N x N correlation matrix
-    (which must be positive semidefinite; invalid matrices are rejected,
-    never projected). ``noise_sigma`` is the standard deviation of each
+    (which must be positive semidefinite). The constructor runs
+    :func:`correlation_for`, so an invalid target is rejected there, never
+    projected. ``noise_sigma`` is the standard deviation of each
     per-step 1-D increment. ``curvature`` bends every trajectory by a
     fixed heading change per step and ``heading_noise`` jitters the
     per-step heading; both default to zero, which keeps trajectories on
@@ -66,7 +67,6 @@ class ScenarioConfig:
             ("n_agents", "t_obs", "t_fut", "seed", "n_scenes"),
             ("base_speed", "noise_sigma", "curvature", "heading_noise"),
         )
-        json_array(self.target_rho, "target_rho")  # no string or boolean entry
         if self.pattern not in PATTERNS:
             raise ValueError(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if self.n_agents < 1:
@@ -83,6 +83,7 @@ class ScenarioConfig:
             raise ValueError("heading_noise must be nonnegative")
         if self.n_scenes < 1:
             raise ValueError("n_scenes must be >= 1")
+        correlation_for(self)  # rejects a bad target_rho before any sampling
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -174,10 +175,13 @@ def correlation_for(config: ScenarioConfig) -> CorrelationMatrix:
         InvalidCorrelationError: the implied matrix is not a valid PSD
             correlation matrix. Rejected, never repaired: silent
             projection would corrupt recovery experiments.
+        SceneFormatError: ``target_rho`` is not a number or a regular nest
+            of numbers, or holds a string or boolean.
     """
     n = config.n_agents
-    target = config.target_rho
-    if np.ndim(target) == 0:
+    # a JSON null reads as NaN here, which no range or matrix check accepts
+    target = json_array(config.target_rho, "target_rho")
+    if target.ndim == 0:
         magnitude = float(target)
         if not -1.0 <= magnitude <= 1.0:
             raise InvalidCorrelationError("scalar target_rho must lie in [-1, 1]")
@@ -186,12 +190,11 @@ def correlation_for(config: ScenarioConfig) -> CorrelationMatrix:
             rho[i, j] = rho[j, i] = sign * abs(magnitude)
         corr = CorrelationMatrix(rho)
     else:
-        arr = np.asarray(target, dtype=np.float64)
-        if arr.shape != (n, n):
+        if target.shape != (n, n):
             raise InvalidCorrelationError(
-                f"target_rho matrix must be ({n}, {n}), got {arr.shape}"
+                f"target_rho matrix must be ({n}, {n}), got {target.shape}"
             )
-        corr = CorrelationMatrix(arr)
+        corr = CorrelationMatrix(target)
     if not corr.is_positive_semidefinite():
         raise InvalidCorrelationError(
             f"target correlation matrix is not positive semidefinite "

@@ -101,6 +101,20 @@ class TestGenerate:
             ("t_fut", "2.5", "t_fut must be an integer"),
             ("seed", "-1", "seed must be nonnegative"),
             ("base_speed", "1e309", "base_speed must be finite"),  # parses to inf
+            ("base_speed", '"2.5"', "base_speed: must be real number, not str"),
+            ("curvature", "null", "curvature: must be real number, not NoneType"),
+            pytest.param(
+                "base_speed", "1" + "0" * 400, "base_speed: int too large to convert to float",
+                id="base_speed-401-digits",
+            ),
+            ("target_rho", "null", "scalar target_rho must lie in [-1, 1]"),
+            pytest.param(
+                "target_rho", "1" + "0" * 400,
+                "field 'target_rho' is not numeric: int too large to convert to float",
+                id="target_rho-401-digits",
+            ),
+            ("target_rho", "2", "scalar target_rho must lie in [-1, 1]"),
+            ("target_rho", "[[1.0]]", "target_rho matrix must be (2, 2), got (1, 1)"),
         ],
     )
     def test_bad_number_exits_one_naming_field_and_file(
@@ -470,6 +484,17 @@ class TestFit:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_non_number_exits_one_naming_field_and_file(self, tmp_path, capsys):
+        dataset = make_dataset_dir(tmp_path, n_scenes=3)
+        fit_config = tmp_path / "fit.json"
+        fit_config.write_text('{"learning_rate": "0.1"}')
+        out = tmp_path / "fit_out"
+        capsys.readouterr()
+        assert main(["fit", str(dataset), str(fit_config), "--out", str(out)]) == 1
+        message = "learning_rate: must be real number, not str"
+        assert capsys.readouterr().err == f"error: invalid fit config: {fit_config}: {message}\n"
+        assert not out.exists()
+
     def test_missing_fit_config_exits_two(self, tmp_path, capsys):
         dataset = make_dataset_dir(tmp_path, n_scenes=3)
         capsys.readouterr()
@@ -527,6 +552,30 @@ class TestFit:
         assert main(["fit", str(dataset), str(fit_config), "--out", str(out_a)]) == 0
         assert main(["fit", str(dataset), str(fit_config), "--out", str(out_b)]) == 0
         assert read_bytes_map(out_a) == read_bytes_map(out_b)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("generate", {"pattern": "follow", "n_agents": 10_000_000}),
+        ("fit", {"parameterization": "relevance-head", "feature_dim": 10_000_000}),
+    ],
+)
+def test_input_too_large_for_memory_exits_one(tmp_path, capsys, command, config):
+    # each asks numpy for one 728 TiB array, a request that fails at once;
+    # smaller sizes may be granted lazily and then filled
+    path = tmp_path / "config.json"
+    write_json(path, config)
+    inputs = [str(path)]
+    if command == "fit":
+        inputs.insert(0, str(make_dataset_dir(tmp_path, n_scenes=3)))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate "), err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

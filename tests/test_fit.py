@@ -535,6 +535,7 @@ class TestFitParameters:
         assert report.stop_reason == "max_iters", report.failure_reason
         latents = dataset.latents(16)
         assert latents is dataset.latents(16)
+        assert not latents.flags.writeable
         draw = np.random.default_rng(0).standard_normal((dataset.t_fut, dataset.n_agents, 16))
         assert np.array_equal(latents, draw)
 

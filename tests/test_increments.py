@@ -18,6 +18,7 @@ from jointmotion import (
     reconstruct_cross_correlations,
     scene_nll,
     JointGaussian,
+    wrap_angle,
 )
 
 
@@ -242,6 +243,14 @@ class TestAssembleJoint:
             Marginals(mu_x=[0.0], mu_y=[0.0], sigma_x=[-1.0], sigma_y=[1.0], rho_xy=[0.0])
         with pytest.raises(ValueError):
             Marginals(mu_x=[0.0], mu_y=[0.0], sigma_x=[1.0], sigma_y=[1.0], rho_xy=[1.5])
+
+
+class TestWrapAngle:
+    def test_both_ends_of_the_circle_map_to_pi(self):
+        for angle in (np.pi, -np.pi):
+            wrapped = wrap_angle(angle)
+            assert type(wrapped) is float and wrapped == np.pi
+        assert wrap_angle(np.array([np.pi, -np.pi, 0.0, 1.0])).tolist() == [np.pi, np.pi, 0.0, 1.0]
 
 
 class TestEquivalence:

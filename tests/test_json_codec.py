@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -54,12 +54,18 @@ def mode_sets(draw, with_scores):
     return ModeSet(modes, draw(arrays((m,))) if with_scores else None)
 
 
-@st.composite
-def truths(draw):
-    n, t_fut = draw(SIZE), draw(SIZE)
+def unit_diagonal(draw, n):
+    """A symmetric (n, n) matrix with entries in [-1, 1] and a unit diagonal."""
     upper = draw(arrays((n, n), st.floats(-1.0, 1.0)))
     rho = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
     np.fill_diagonal(rho, 1.0)
+    return rho
+
+
+@st.composite
+def truths(draw):
+    n, t_fut = draw(SIZE), draw(SIZE)
+    rho = unit_diagonal(draw, n)
     # the tables hold magnitudes and spreads: finite and not negative
     nonnegative = st.just(-0.0) | st.floats(min_value=0.0, allow_infinity=False)
     return SceneTruth(
@@ -73,12 +79,19 @@ def truths(draw):
 def scenario_configs(draw, matrix):
     n = draw(SIZE)
     nonnegative = st.floats(0.0, 1e308)
+    if matrix:
+        target = unit_diagonal(draw, n)
+        # the constructor also asks for a positive semidefinite matrix
+        assume(CorrelationMatrix(target).is_positive_semidefinite())
+        target = target.tolist()
+    else:
+        target = draw(st.floats(-1.0, 1.0))
     return ScenarioConfig(
         pattern=draw(st.sampled_from(["follow", "yield", "independent", "mixed"])),
         n_agents=n,
         t_obs=draw(SIZE),
         t_fut=draw(SIZE),
-        target_rho=draw(arrays((n, n))).tolist() if matrix else draw(FINITE),
+        target_rho=target,
         base_speed=draw(st.floats(5e-324, 1e308)),
         noise_sigma=draw(nonnegative),
         seed=draw(st.integers(0, 2**63)),
@@ -330,6 +343,30 @@ class TestWriterMatchesTheStdlib:
         for encode in (stdlib_text, lambda p: write_json(p, tmp_path / "out.json")):
             with pytest.raises(error, match=re.escape(message) + "$"):
                 encode(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {1.5: [0.5], None: {"a": []}, False: [[]], -7: (), "\u00e9": np.zeros(2)},
+        {(1, 2): [0.5]},
+        {float("nan"): [0.5]},
+    ],
+    ids=["converted", "tuple-key", "nan-key"],
+)
+def test_keys_of_a_dict_holding_a_container_are_the_stdlib_keys(tmp_path, payload):
+    # such a dict is written key by key, not by json.dumps
+    path = tmp_path / "keys.json"
+    try:
+        expected = stdlib_text({k: v.tolist() if isinstance(v, np.ndarray) else v
+                                for k, v in payload.items()})
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc)) + "$"):
+            write_json(payload, path)
+        assert not path.exists()
+    else:
+        write_json(payload, path)
+        assert path.read_bytes() == expected.encode("ascii")
 
 
 class TestFailedWriteLeavesNoTrace:

@@ -55,6 +55,13 @@ class TestExactCases:
         assert min_joint_ade(modes, gt).value == pytest.approx(5.0, abs=1e-12)
         assert min_joint_fde(modes, gt).value == pytest.approx(5.0, abs=1e-12)
 
+    @pytest.mark.parametrize("metric", [min_joint_ade, min_joint_fde])
+    def test_nested_lists_score_as_their_arrays(self, metric):
+        rng = np.random.default_rng(3)
+        gt = rng.normal(0.0, 5.0, (3, 4, 2))
+        modes = rng.normal(0.0, 5.0, (2, 3, 4, 2))
+        assert metric(modes.tolist(), gt.tolist()) == metric(modes, gt)
+
     def test_single_step_identity(self):
         rng = np.random.default_rng(2)
         gt = rng.normal(0.0, 5.0, (3, 1, 2))

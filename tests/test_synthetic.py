@@ -1,6 +1,7 @@
 """Scene generator ground truth and the brute-force estimators."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -116,9 +117,8 @@ class TestCorrelationFor:
 
     def test_non_psd_matrix_rejected(self):
         rho = np.array([[1.0, -0.8, 0.0], [-0.8, 1.0, 0.8], [0.0, 0.8, 1.0]])
-        config = ScenarioConfig(pattern="independent", n_agents=3, target_rho=rho.tolist())
         with pytest.raises(InvalidCorrelationError):
-            correlation_for(config)
+            ScenarioConfig(pattern="independent", n_agents=3, target_rho=rho.tolist())
 
     def test_truth_is_always_psd(self):
         for pattern in ("follow", "yield", "independent", "mixed"):
@@ -228,8 +228,11 @@ class TestEmpiricalIncrementPcc:
             empirical_increment_pcc(np.array([[1.0, 2.0], [1.0, 3.0]]))
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_increment_pcc(np.array([[1.0, 2.0]]))
+        # without the shape check, one row fails as zero variance and a
+        # 1-D sample in fill_diagonal
+        for samples in ([[1.0, 2.0]], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match=re.escape("expected (K >= 2, N) samples")):
+                empirical_increment_pcc(np.array(samples))
 
     def test_recovers_correlation_of_gaussian_draws(self):
         rho = np.array([[1.0, 0.4, -0.3], [0.4, 1.0, 0.1], [-0.3, 0.1, 1.0]])

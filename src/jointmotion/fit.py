@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -264,6 +265,16 @@ class FitDataset:
         )
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)`` (``k`` 1) or
+    ``np.tril_indices(n, -1)`` (``k`` -1), computed once per N."""
+    rows, cols = np.triu_indices(n, k) if k > 0 else np.tril_indices(n, k)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _rho_stack(rho: np.ndarray, t_fut: Optional[int]) -> np.ndarray:
     """One (N, N) matrix shared by ``t_fut`` steps, or a (T, N, N) stack."""
     rho = np.asarray(rho, dtype=np.float64)
@@ -308,7 +319,7 @@ class DirectRhoParams:
         shared by all steps or a (T, N, N) stack."""
         rho = _rho_stack(rho, t_fut)
         n = rho.shape[1]
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = _pair_indices(n, 1)
         pairs = rho[:, iu, ju]
         if np.any(np.abs(pairs) >= 1.0):
             raise ValueError("tanh parameterization needs |rho| < 1")
@@ -325,7 +336,7 @@ class DirectRhoParams:
     def _forward(self):
         """(T, N, N) correlations, and what :meth:`_raw_grad` needs of them."""
         n = self.n_agents
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = _pair_indices(n, 1)
         rho = np.tile(np.eye(n), (self.t_fut, 1, 1))
         values = np.tanh(self.raw)
         rho[:, iu, ju] = values
@@ -334,7 +345,7 @@ class DirectRhoParams:
 
     def _raw_grad(self, d_rho: np.ndarray, cache) -> np.ndarray:
         """Chain a (T, N, N) gradient over rho entries back to ``raw``."""
-        iu, ju = np.triu_indices(self.n_agents, k=1)
+        iu, ju = _pair_indices(self.n_agents, 1)
         pair_grad = d_rho[:, iu, ju] + d_rho[:, ju, iu]
         return pair_grad * (1.0 - np.tanh(self.raw) ** 2)
 
@@ -383,19 +394,19 @@ class UnitRowRhoParams(DirectRhoParams):
         except np.linalg.LinAlgError:
             raise ValueError("unit-row parameterization needs positive definite rho") from None
         rows = lower / np.diagonal(lower, axis1=1, axis2=2)[:, :, None]
-        il, jl = np.tril_indices(rho.shape[1], k=-1)
+        il, jl = _pair_indices(rho.shape[1], -1)
         return cls(rows[:, il, jl], rho.shape[1])
 
     def _forward(self):
         n = self.n_agents
-        il, jl = np.tril_indices(n, k=-1)
+        il, jl = _pair_indices(n, -1)
         rows = np.tile(np.eye(n), (self.t_fut, 1, 1))
         rows[:, il, jl] = self.raw
         rho, norms, unit = cosine_gram(rows)
         return rho, (unit, norms)
 
     def _raw_grad(self, d_rho: np.ndarray, cache) -> np.ndarray:
-        il, jl = np.tril_indices(self.n_agents, k=-1)
+        il, jl = _pair_indices(self.n_agents, -1)
         return cosine_gram_backward(d_rho, *cache)[:, il, jl]
 
 
@@ -454,8 +465,17 @@ def _nll_over_rho(
     to rho[t, i, j] alone (zero diagonal). The derivative of the pair
     scalar shared by (i, j) and (j, i) is the sum of the two entries.
 
-    Raises FloatingPointError when a step covariance, or the gradient at
-    a step, is not finite.
+    The per-step loop holds only the LAPACK calls: one ``dpotrf`` and two
+    triangular solves per step (four with the gradient, plus I - W). It
+    stores each step's factor diagonal, whitened scatter W and
+    A^-1 - A^-1 S A^-1; the log-determinants, traces and gradient scaling
+    are then computed once over the (T, ...) stacks, and the value is
+    summed in step order, so the result is bit-identical to finishing each
+    step inside the loop.
+
+    Raises StepFactorizationError at the first step that does not factor,
+    and FloatingPointError when a step covariance, or the gradient at a
+    step, is not finite.
     """
     n = dataset.n_agents
     if delta_reg <= 0.0:
@@ -469,28 +489,36 @@ def _nll_over_rho(
     if not finite.all():
         raise FloatingPointError(f"covariance at future step {np.argmin(finite)} is not finite")
     rho_free = n * np.log(delta_reg) + dataset.lateral_ss / delta_reg + 2 * n * LOG_TWO_PI
-    value = 0.0
-    d_rho = np.zeros_like(rho) if want_grad else None
-    for t in range(dataset.t_fut):
+    t_fut = dataset.t_fut
+    diagonals = np.empty((t_fut, n))
+    whites = np.empty((t_fut, n, n))
+    grad_cov = np.empty((t_fut, n, n)) if want_grad else None
+    for t in range(t_fut):
         lower, info = dpotrf(cov[t], lower=1, clean=1)
         if info:  # the fixed arguments rule out info < 0 (an illegal argument)
             raise StepFactorizationError(step=t, pivot=info - 1)
-        log_det = 2.0 * float(np.log(lower.diagonal()).sum())
+        diagonals[t] = lower.diagonal()
         # whitened scatter W = L^-1 S L^-T, so tr(A^-1 S) = tr(W)
         half = solve_triangular(lower, dataset.scatter[t])
-        white = solve_triangular(lower, half.T)
-        value += 0.5 * (log_det + float(white.trace()) + float(rho_free[t]))
+        white = whites[t] = solve_triangular(lower, half.T)
         if want_grad:
             # A^-1 - A^-1 S A^-1 = L^-T (I - W) L^-1, by triangular solves only
             left = solve_triangular(lower, eye - white, trans=1)
-            grad_cov = solve_triangular(lower, left.T, trans=1)
-            d_rho[t] = 0.5 * sigma[t][:, None] * grad_cov * sigma[t][None, :]
-    if want_grad:
-        diagonal = np.arange(n)
-        d_rho[:, diagonal, diagonal] = 0.0
-        finite = np.isfinite(d_rho).all(axis=(1, 2))
-        if not finite.all():
-            raise FloatingPointError(f"gradient at future step {np.argmin(finite)} is not finite")
+            grad_cov[t] = solve_triangular(lower, left.T, trans=1)
+    log_dets = 2.0 * np.log(diagonals).sum(axis=1)
+    terms = 0.5 * (log_dets + np.trace(whites, axis1=1, axis2=2) + rho_free)
+    value = 0.0
+    # in step order, one addition per step (Python 3.12's sum() compensates)
+    for term in terms.tolist():
+        value += term
+    if not want_grad:
+        return value, None
+    d_rho = 0.5 * sigma[:, :, None] * grad_cov * sigma[:, None, :]
+    diagonal = np.arange(n)
+    d_rho[:, diagonal, diagonal] = 0.0
+    finite = np.isfinite(d_rho).all(axis=(1, 2))
+    if not finite.all():
+        raise FloatingPointError(f"gradient at future step {np.argmin(finite)} is not finite")
     return value, d_rho
 
 
@@ -543,9 +571,11 @@ def fit_parameters(
     parameters but leaves the objective bit-for-bit unchanged also
     aborts, since the objective cannot resolve the parameters at that
     delta_reg: a tiny one lets the lateral term swamp it, a huge one the
-    regularization. Floating-point warnings raised inside the objective
-    are silenced, since its result is checked. ``initial`` warm-starts the
-    optimizer in place of the default parameters.
+    regularization. A gradient whose square overflows Adam's second
+    moment aborts too, at the iterate it belongs to. Floating-point
+    warnings raised inside the objective and the Adam update are
+    silenced, since their results are checked. ``initial`` warm-starts
+    the optimizer in place of the default parameters.
     """
     params = make_params(config, dataset) if initial is None else initial
     x = x_finite = params.vector()
@@ -556,40 +586,44 @@ def fit_parameters(
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     trace: List[float] = []
-    while len(trace) < config.max_iters:
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while len(trace) < config.max_iters:
+            try:
                 value, grad = params.with_vector(x).value_and_grad(dataset, delta)
-            if not math.isfinite(value):
-                raise FloatingPointError(f"the objective is {value}")
-        except NotPositiveDefiniteError as exc:
-            if delta == config.delta_reg and delta * 10.0 != delta:
-                delta = delta * 10.0
-                continue
-            after = " after delta escalation" if delta != config.delta_reg else ""
-            failure_reason = f"factorization failed{after}: {exc}"
-            break
-        except (FloatingPointError, DegenerateFeatureError) as exc:
-            # this iterate may have no finite rho to report
-            x = x_finite
-            failure_reason = f"non-finite objective at iteration {len(trace)}: {exc}"
-            break
-        trace.append(value)
-        if len(trace) == 2 and trace[0] == trace[1] and not np.array_equal(x, x_finite):
-            failure_reason = (
-                f"the objective does not resolve the parameters at delta_reg {delta!r}: "
-                f"the first step moved them but left it at {value!r}"
-            )
-            break
-        x_finite = x
-        if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:
-            stop_reason = "convergence_tol"
-            break
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
-        v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
-        x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                if not math.isfinite(value):
+                    raise FloatingPointError(f"the objective is {value}")
+            except NotPositiveDefiniteError as exc:
+                if delta == config.delta_reg and delta * 10.0 != delta:
+                    delta = delta * 10.0
+                    continue
+                after = " after delta escalation" if delta != config.delta_reg else ""
+                failure_reason = f"factorization failed{after}: {exc}"
+                break
+            except (FloatingPointError, DegenerateFeatureError) as exc:
+                # this iterate may have no finite rho to report
+                x = x_finite
+                failure_reason = f"non-finite objective at iteration {len(trace)}: {exc}"
+                break
+            trace.append(value)
+            if len(trace) == 2 and trace[0] == trace[1] and not np.array_equal(x, x_finite):
+                failure_reason = (
+                    f"the objective does not resolve the parameters at delta_reg {delta!r}: "
+                    f"the first step moved them but left it at {value!r}"
+                )
+                break
+            x_finite = x
+            if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:
+                stop_reason = "convergence_tol"
+                break
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            if not np.isfinite(v).all():  # a finite gradient's square can overflow
+                iteration = len(trace) - 1
+                failure_reason = f"gradient too large for the optimizer at iteration {iteration}"
+                break
+            m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
+            v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
+            x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     try:
         recovered = _clipped_rho(params.with_vector(x), dataset)

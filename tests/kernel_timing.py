@@ -1,0 +1,89 @@
+"""Per-call time of the fit objective and gradient, on one BLAS thread.
+
+    python tests/kernel_timing.py [--sizes 3 8 32 64] [--t-fut 12]
+        [--calls 200] [--src DIR]
+
+For each N in ``--sizes`` it samples one ``mixed`` family of 256 futures
+at ``--t-fut`` steps, then calls ``value_and_grad`` ``--calls`` times on
+``UnitRowRhoParams`` (the direct-rho fit's parameters, at small random
+values) and on ``RelevanceParams`` (the relevance-head fit's seeded
+head), after three untimed calls. It prints the minimum and median time
+per call in microseconds, with the numpy and scipy versions, the BLAS
+vendor and the CPU count. ``--src`` imports ``jointmotion`` from
+``DIR/src`` instead of this checkout's, so an export of another commit
+(``git archive``) is timed by the same script.
+
+Not part of tier 1 (like ``ab_pairs.py``); the defaults take a few
+seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# before numpy loads OpenBLAS (in main): unpinned threads make small-matrix timings noise
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def blas_vendor(module) -> str:
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def call_times(call, calls: int) -> list:
+    """Seconds per call of ``call()``, after three untimed calls."""
+    for _ in range(3):
+        call()
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[3, 8, 32, 64])
+    parser.add_argument("--t-fut", type=int, default=12)
+    parser.add_argument("--calls", type=int, default=200)
+    parser.add_argument("--src", type=Path, default=REPO,
+                        help="tree whose src/jointmotion is timed (default: this checkout)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve() / "src"))
+
+    import numpy as np
+    import scipy
+
+    import jointmotion
+    from jointmotion import ScenarioConfig, pair_count
+    from jointmotion.fit import FitDataset, RelevanceParams, UnitRowRhoParams
+
+    print(f"jointmotion {jointmotion.__version__} from {Path(jointmotion.__file__).parent}")
+    print(
+        f"numpy {np.__version__} ({blas_vendor(np)}), scipy {scipy.__version__} "
+        f"({blas_vendor(scipy)}), OPENBLAS_NUM_THREADS=1, cpu_count {os.cpu_count()}"
+    )
+    print(f"{'params':<18}{'N':>4}{'T':>4}{'calls':>7}{'min_us':>11}{'median_us':>11}")
+    for n in args.sizes:
+        config = ScenarioConfig(pattern="mixed", n_agents=n, t_fut=args.t_fut, target_rho=0.5)
+        dataset = FitDataset.from_config(config, n_futures=256)
+        raw = np.random.default_rng(n).normal(scale=0.1, size=(args.t_fut, pair_count(n)))
+        for params in (UnitRowRhoParams(raw, n), RelevanceParams.initialize(8, seed=0)):
+            times = call_times(lambda: params.value_and_grad(dataset, 1e-4), args.calls)
+            print(
+                f"{type(params).__name__:<18}{n:>4}{args.t_fut:>4}{args.calls:>7}"
+                f"{min(times) * 1e6:>11.1f}{statistics.median(times) * 1e6:>11.1f}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

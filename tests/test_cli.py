@@ -386,6 +386,34 @@ class TestFit:
         assert report["failure_reason"] == reason
         assert report["iterations_run"] == 0
 
+    def test_gradient_overflowing_adam_exits_three_without_warning(self, tmp_path):
+        # huge speeds leave the objective and its gradient finite, but the
+        # gradient's square overflows Adam's second moment; run as a process
+        # that turns any numpy warning into an error
+        config = tmp_path / "scenario.json"
+        write_json(config, {"pattern": "follow", "n_agents": 3, "target_rho": 0.5,
+                            "n_scenes": 40, "base_speed": 1e150})
+        dataset = tmp_path / "dataset"
+        assert main(["generate", str(config), "--out", str(dataset)]) == 0
+        fit_config = tmp_path / "fit.json"
+        write_json(fit_config, {"max_iters": 60})
+        out = tmp_path / "fit_out"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "jointmotion.cli", "fit",
+             str(dataset), str(fit_config), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        reason = "gradient too large for the optimizer at iteration 0"
+        assert (result.returncode, result.stderr) == (3, f"fit failed: {reason}\n")
+        report = json.loads((out / "fit_report.json").read_text())
+        assert (report["failure_reason"], report["stop_reason"]) == (reason, "failure")
+        assert report["iterations_run"] == 1
+
     @pytest.mark.parametrize(
         "scene, edit, message",
         [

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
+import jointmotion.fit
 from jointmotion import (
     CorrelationMatrix,
     JointGaussian,
@@ -57,15 +58,18 @@ def small_dataset(
     return config, FitDataset.from_config(config, n_futures=n_futures)
 
 
-def tiny_sigma_dataset():
-    """At delta_reg 1e-300 its objective is finite but its gradient is not:
-    the whitened scatter is about 1e300, and one more solve overflows."""
+def tiny_sigma_dataset(steps=slice(None)):
+    """At delta_reg 1e-300 its objective is finite but its gradient at
+    ``steps`` is not: there the whitened scatter is about 1e300, and one
+    more solve overflows."""
     _, dataset = small_dataset()
+    sigma = dataset.sigma_delta.copy()
+    sigma[steps] = 1e-155
     return FitDataset(
         current=dataset.current,
         theta=dataset.theta,
         mu_delta=dataset.mu_delta,
-        sigma_delta=np.full_like(dataset.sigma_delta, 1e-155),
+        sigma_delta=sigma,
         futures=dataset.futures,
     )
 
@@ -113,6 +117,33 @@ class TestObjective:
                     regular = JointGaussian(joint.mean, tikhonov_regularize(joint.cov, 1e-4))
                     total += scene_nll(regular, dataset.futures[k, :, t, :].reshape(-1))
             np.testing.assert_allclose(value, total / dataset.n_futures, rtol=1e-10)
+
+    @pytest.mark.parametrize("n_agents, curvature", [(1, 0.0), (3, 0.05), (64, 0.0)])
+    def test_bit_equal_to_finishing_each_step_inside_the_loop(self, n_agents, curvature):
+        # the reference finishes every step's terms before factoring the next
+        _, dataset = small_dataset(n_futures=16, n_agents=n_agents, curvature=curvature)
+        n, sigma, delta = n_agents, dataset.sigma_delta, 1e-4
+        raw = np.random.default_rng(n).uniform(-0.1, 0.1, (dataset.t_fut, pair_count(n)))
+        params = DirectRhoParams(raw, n)
+        rho = params.rho_matrices()
+        value, d_rho = 0.0, np.zeros_like(rho)
+        for t in range(dataset.t_fut):
+            cov = sigma[t][:, None] * rho[t] * sigma[t][None, :] + delta * np.eye(n)
+            lower, info = dpotrf(cov, lower=1, clean=1)
+            assert info == 0
+            white = solve_triangular(lower, solve_triangular(lower, dataset.scatter[t]).T)
+            rho_free = n * np.log(delta) + dataset.lateral_ss[t] / delta + 2 * n * LOG_TWO_PI
+            log_det = 2.0 * float(np.log(lower.diagonal()).sum())
+            value += 0.5 * (log_det + float(white.trace()) + float(rho_free))
+            left = solve_triangular(lower, np.eye(n) - white, trans=1)
+            grad_cov = solve_triangular(lower, left.T, trans=1)
+            d_rho[t] = 0.5 * sigma[t][:, None] * grad_cov * sigma[t][None, :]
+        iu, ju = np.triu_indices(n, k=1)
+        grad = (d_rho[:, iu, ju] + d_rho[:, ju, iu]) * (1.0 - np.tanh(raw) ** 2)
+        assert params.value(dataset, delta) == value
+        actual_value, actual_grad = params.value_and_grad(dataset, delta)
+        assert actual_value == value
+        assert np.array_equal(actual_grad, grad.ravel())
 
     def test_identity_correlation_equals_sum_of_marginal_nlls(self):
         _, dataset = small_dataset(n_futures=1)
@@ -185,13 +216,58 @@ class TestObjective:
         assert excinfo.value.step == 0
         assert "step 0" in str(excinfo.value)
 
-    def test_non_finite_gradient_raises_naming_step(self):
-        dataset = tiny_sigma_dataset()
+    def test_factorization_failure_names_a_later_step(self):
+        _, dataset = small_dataset()
+        indefinite = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        rho = np.stack([np.eye(3), np.eye(3), indefinite, np.eye(3)])
+        params = DirectRhoParams.from_rho(rho)
+        for objective in (nll_objective, grad_nll):
+            with pytest.raises(StepFactorizationError) as excinfo:
+                objective(params, dataset, 1e-4)
+            assert excinfo.value.step == 2
+            assert "step 2" in str(excinfo.value)
+
+    @pytest.mark.parametrize("step", [0, 2])
+    def test_non_finite_gradient_raises_naming_step(self, step):
+        dataset = tiny_sigma_dataset(steps=slice(step, None))
         params = UnitRowRhoParams.zeros(dataset.t_fut, dataset.n_agents)
         assert np.isfinite(nll_objective(params, dataset, 1e-300))
+        message = f"gradient at future step {step} is not finite"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="gradient at future step 0 is not finite"):
+            with pytest.raises(FloatingPointError, match=message):
                 grad_nll(params, dataset, 1e-300)
+
+
+class TestLapackCalls:
+    """Per objective call, one ``dpotrf`` per step and one
+    ``solve_triangular`` per solve, through the names ``jointmotion.fit``
+    binds: two solves per step for the value, four with the gradient."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"dpotrf": 0, "solve_triangular": 0}
+        for name in counts:
+            wrapped = getattr(jointmotion.fit, name)
+
+            def counting(*args, _name=name, _wrapped=wrapped, **kwargs):
+                counts[_name] += 1
+                return _wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(jointmotion.fit, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("make", [
+        lambda t, n: DirectRhoParams(np.full((t, pair_count(n)), 0.1), n),
+        lambda t, n: UnitRowRhoParams(np.full((t, pair_count(n)), 0.1), n),
+        lambda t, n: RelevanceParams.initialize(feature_dim=8, seed=0),
+    ], ids=["tanh", "unit-row", "relevance"])
+    def test_one_factorization_per_step_and_one_call_per_solve(self, counts, make):
+        _, dataset = small_dataset()
+        params = make(dataset.t_fut, dataset.n_agents)
+        params.value_and_grad(dataset, 1e-4)
+        assert counts == {"dpotrf": dataset.t_fut, "solve_triangular": 4 * dataset.t_fut}
+        params.value(dataset, 1e-4)
+        assert counts == {"dpotrf": 2 * dataset.t_fut, "solve_triangular": 6 * dataset.t_fut}
 
 
 class TestSolveTriangular:
@@ -471,6 +547,18 @@ class TestFitParameters:
         )
         assert report.iterations_run == 0
         assert report.delta_reg_used == 1e-300  # not escalated
+        assert np.all(np.isfinite(report.recovered_rho))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_overflowing_adam_ends_the_fit_with_a_report(self):
+        # the gradient is finite (about 1e270) but its square is not
+        config = ScenarioConfig(pattern="follow", n_agents=3, target_rho=0.5, base_speed=1e150)
+        dataset = FitDataset.from_config(config, n_futures=40)
+        report = fit_parameters(FitConfig(max_iters=60), dataset)
+        assert report.failure_reason == "gradient too large for the optimizer at iteration 0"
+        assert report.stop_reason == "failure"
+        assert report.iterations_run == 1
+        assert np.isfinite(report.final_nll)
         assert np.all(np.isfinite(report.recovered_rho))
 
     def test_infinite_objective_ends_the_fit_with_a_report(self):

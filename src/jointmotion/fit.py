@@ -154,7 +154,11 @@ class FitDataset:
     are the futures' offsets from the marginal means along each agent's
     heading, ``scatter`` (T, N, N) their mean outer product, and
     ``lateral_ss`` (T,) the mean sum of squared offsets across the
-    headings.
+    headings. Each entry of ``scatter`` and ``lateral_ss`` is a sum in
+    order over the futures, divided by K; the scatter's lower triangle is
+    summed one agent's row at a time and mirrored into the upper one, so
+    each pair is summed once and the result is bit-identical to the full
+    product.
 
     :meth:`latents` draws a relevance head's inputs at its width (``feature_dim``).
     """
@@ -182,6 +186,8 @@ class FitDataset:
             raise ValueError(
                 f"futures: expected (K, {n}, {t_fut}, 2), got {self.futures.shape}"
             )
+        if self.futures.shape[0] == 0:
+            raise ValueError("dataset needs at least one future")
         if np.any(self.sigma_delta <= 0.0):
             raise ValueError("fitting needs strictly positive increment sigmas")
 
@@ -203,7 +209,12 @@ class FitDataset:
         self.residuals = np.einsum("ktnc,tnc->ktn", offsets, along)
         # the lateral unit vectors [-sin, cos]
         lateral = np.einsum("ktnc,tnc->ktn", offsets, along[..., ::-1] * [-1.0, 1.0])
-        self.scatter = np.einsum("kta,ktb->tab", self.residuals, self.residuals)
+        # each row's lower part once, mirrored: the scatter is symmetric
+        self.scatter = np.empty((t_fut, n, n))
+        for a in range(n):
+            row = np.einsum("kt,ktb->tb", self.residuals[:, :, a], self.residuals[:, :, : a + 1])
+            self.scatter[:, a, : a + 1] = row
+            self.scatter[:, : a + 1, a] = row
         self.scatter /= self.n_futures
         self.lateral_ss = np.einsum("ktn,ktn->t", lateral, lateral) / self.n_futures
         if not (np.all(np.isfinite(self.scatter)) and np.all(np.isfinite(self.lateral_ss))):

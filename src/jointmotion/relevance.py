@@ -45,13 +45,17 @@ class RelevanceHead:
     b_out: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.w_query).shape[0]
-        for field in fields(self):
-            arr = np.asarray(getattr(self, field.name), dtype=np.float64)
-            expected = (d,) if field.name.startswith("b_") else (d, d)
+        # Every Adam iterate of a head fit passes here with the float64
+        # arrays :meth:`unpack` sliced, so those are only shape-checked.
+        d = np.shape(self.w_query)[0]
+        for name in self.__dataclass_fields__:
+            arr = getattr(self, name)
+            if type(arr) is not np.ndarray or arr.dtype != np.float64:
+                arr = np.asarray(arr, dtype=np.float64)
+                setattr(self, name, arr)
+            expected = (d,) if name.startswith("b_") else (d, d)
             if arr.shape != expected:
-                raise ValueError(f"{field.name}: expected shape {expected}, got {arr.shape}")
-            setattr(self, field.name, arr)
+                raise ValueError(f"{name}: expected shape {expected}, got {arr.shape}")
 
     @property
     def feature_dim(self) -> int:

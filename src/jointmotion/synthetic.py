@@ -245,7 +245,8 @@ def _walk(
     with heading noise D = 2, and each walk's jitter follows its
     increments. Returns positions (count, N, steps, 2) and headings
     (count, N, steps); without heading noise the headings are one
-    read-only (N, steps) block broadcast over the walks.
+    read-only (N, steps) block broadcast over the walks, and their cosines
+    and sines are computed once, on that block, not once per walk.
     """
     n = start.shape[0]
     jittered = config.heading_noise != 0.0
@@ -265,10 +266,13 @@ def _walk(
 
     # Each step's displacement, the start folded into the first, summed
     # left to right: the additions of a step-by-step walk, in its order.
-    # Scaled in place at the full shape: with heading noise, a separate
-    # product would hold a second (count, N, steps, 2) buffer.
-    positions = heading_vectors(np.broadcast_to(headings, (count, n, steps)))
-    positions *= deltas.transpose(0, 2, 1)[..., None]
+    # With heading noise the vectors already have the full shape and are
+    # scaled in place: a separate product would hold a second
+    # (count, N, steps, 2) buffer.
+    vectors = heading_vectors(headings)
+    positions = np.multiply(
+        vectors, deltas.transpose(0, 2, 1)[..., None], out=vectors if jittered else None
+    )
     positions[:, :, :1] += start[:, None]
     np.cumsum(positions, axis=2, out=positions)
     if not jittered:

@@ -6,11 +6,12 @@
 Each commit is exported with ``git archive`` into its own directory, and
 ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` runs from
 each export once per seed: one pair per seed, with the side that runs first
-alternating from pair to pair (PARENT first in the first pair). The script
-prints every pair as it finishes, then, for each end-to-end metric that
-``BENCHMARK.json`` (of CHANGE) declares, each side's median and quartiles,
-how many pairs CHANGE won (ties count for neither side), and whether the
-gap between the medians exceeds the distance between PARENT's quartiles.
+alternating from pair to pair (PARENT first in the first pair). For the
+end-to-end metrics that ``BENCHMARK.json`` (of CHANGE) declares, the
+script prints every pair's values as it finishes, then each side's median
+and quartiles, how many pairs CHANGE won (ties count for neither side),
+and whether the gap between the medians exceeds the distance between
+PARENT's quartiles.
 
 Standard library only, and not part of tier 1 (like ``golden_digests.py``):
 one pair at ``--seconds 30`` takes about a minute and a half.
@@ -113,8 +114,10 @@ def main():
             for side in order:
                 runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
             cells = "  ".join(
-                f"{side} pass_s {runs[side][-1]['metrics']['pass_s']['value']:.4f} "
-                f"failed {runs[side][-1]['failed']}/{runs[side][-1]['attempted']}"
+                f"{side} "
+                + "".join(f"{entry['name']} {runs[side][-1]['metrics'][entry['name']]['value']:.4f} "
+                          for entry in declared)
+                + f"failed {runs[side][-1]['failed']}/{runs[side][-1]['attempted']}"
                 for side in ("parent", "change")
             )
             print(f"pair {index + 1} seed {seed} ({order[0]} first): {cells}", flush=True)

@@ -1,20 +1,25 @@
-"""Per-call time of the fit objective and gradient, on one BLAS thread.
+"""Per-call time of the fit's data side and objective, on one BLAS thread.
 
     python tests/kernel_timing.py [--sizes 3 8 32 64] [--t-fut 12]
         [--calls 200] [--src DIR]
 
 For each N in ``--sizes`` it samples one ``mixed`` family of 256 futures
-at ``--t-fut`` steps, then calls ``value_and_grad`` ``--calls`` times on
-``UnitRowRhoParams`` (the direct-rho fit's parameters, at small random
-values) and on ``RelevanceParams`` (the relevance-head fit's seeded
-head), after three untimed calls. It prints the minimum and median time
-per call in microseconds, with the numpy and scipy versions, the BLAS
-vendor and the CPU count. ``--src`` imports ``jointmotion`` from
-``DIR/src`` instead of this checkout's, so an export of another commit
-(``git archive``) is timed by the same script.
+at ``--t-fut`` steps and times ``--calls`` calls, each after three
+untimed calls, of:
+- ``sample_future_positions``, drawing that family again;
+- the ``FitDataset`` build from the family (its residual statistics);
+- ``value_and_grad`` on ``UnitRowRhoParams`` (the direct-rho fit's
+  parameters, at small random values) and on ``RelevanceParams`` (the
+  relevance-head fit's seeded head).
 
-Not part of tier 1 (like ``ab_pairs.py``); the defaults take a few
-seconds.
+It prints the minimum and median time per call in microseconds, one row
+per call and N, with the numpy and scipy versions, the BLAS vendor and
+the CPU count. ``--src`` imports ``jointmotion`` from ``DIR/src`` instead
+of this checkout's, so an export of another commit (``git archive``) is
+timed by the same script.
+
+Not part of tier 1 (like ``ab_pairs.py``); the defaults take about half
+a minute.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 REPO = Path(__file__).resolve().parent.parent
+FUTURES = 256  # futures in each sampled family
 
 
 def blas_vendor(module) -> str:
@@ -63,7 +69,7 @@ def main(argv=None) -> int:
     import scipy
 
     import jointmotion
-    from jointmotion import ScenarioConfig, pair_count
+    from jointmotion import ScenarioConfig, pair_count, sample_future_positions
     from jointmotion.fit import FitDataset, RelevanceParams, UnitRowRhoParams
 
     print(f"jointmotion {jointmotion.__version__} from {Path(jointmotion.__file__).parent}")
@@ -71,15 +77,27 @@ def main(argv=None) -> int:
         f"numpy {np.__version__} ({blas_vendor(np)}), scipy {scipy.__version__} "
         f"({blas_vendor(scipy)}), OPENBLAS_NUM_THREADS=1, cpu_count {os.cpu_count()}"
     )
-    print(f"{'params':<18}{'N':>4}{'T':>4}{'calls':>7}{'min_us':>11}{'median_us':>11}")
+    print(f"{'call':<24}{'N':>4}{'T':>4}{'calls':>7}{'min_us':>11}{'median_us':>11}")
     for n in args.sizes:
         config = ScenarioConfig(pattern="mixed", n_agents=n, t_fut=args.t_fut, target_rho=0.5)
-        dataset = FitDataset.from_config(config, n_futures=256)
+        futures, yaws, current, truth = sample_future_positions(config, FUTURES)
+
+        def build():
+            return FitDataset(current, yaws[0].T, truth.mu_delta, truth.sigma_delta, futures)
+
+        dataset = build()
         raw = np.random.default_rng(n).normal(scale=0.1, size=(args.t_fut, pair_count(n)))
-        for params in (UnitRowRhoParams(raw, n), RelevanceParams.initialize(8, seed=0)):
-            times = call_times(lambda: params.value_and_grad(dataset, 1e-4), args.calls)
+        calls = [
+            ("sample_future_positions", lambda: sample_future_positions(config, FUTURES)),
+            ("FitDataset", build),
+        ] + [
+            (type(params).__name__, lambda params=params: params.value_and_grad(dataset, 1e-4))
+            for params in (UnitRowRhoParams(raw, n), RelevanceParams.initialize(8, seed=0))
+        ]
+        for name, call in calls:
+            times = call_times(call, args.calls)
             print(
-                f"{type(params).__name__:<18}{n:>4}{args.t_fut:>4}{args.calls:>7}"
+                f"{name:<24}{n:>4}{args.t_fut:>4}{args.calls:>7}"
                 f"{min(times) * 1e6:>11.1f}{statistics.median(times) * 1e6:>11.1f}"
             )
     return 0

@@ -18,7 +18,16 @@ from hypothesis import strategies as st
 
 import jointmotion.cli
 import jointmotion.fit
-from jointmotion import ModeSet, load_scene, min_joint_ade, min_joint_fde, save_modes, save_scene
+from jointmotion import (
+    ModeSet,
+    ScenarioConfig,
+    generate_scenes,
+    load_scene,
+    min_joint_ade,
+    min_joint_fde,
+    save_modes,
+    save_scene,
+)
 from jointmotion.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -649,6 +658,56 @@ def test_generate_fit_eval_at_degenerate_shapes(tmp_path, shape):
         "mean,minJointFDE,0.0,",
     ]
     assert (out_csv.parent / "run_manifest.json").exists()
+
+
+# the scenario fields scaled, at their values before scaling
+SCALED = {"base_speed": 2.5, "noise_sigma": 0.5, "curvature": 0.1}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@example(exponents={"base_speed": 150, "noise_sigma": 0, "curvature": 0})
+@example(exponents={"base_speed": 0, "noise_sigma": -150, "curvature": 150})
+@given(exponents=st.fixed_dictionaries({name: st.integers(-150, 150) for name in SCALED}))
+def test_generate_fit_eval_at_any_scale_ends_in_an_exit_code(exponents):
+    # each of the three fields scaled by 10**exponent; a numpy warning fails the test
+    payload = scenario_payload(pattern="follow", n_agents=3, target_rho=0.5, n_scenes=8)
+    payload.update({name: value * 10.0 ** exponents[name] for name, value in SCALED.items()})
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        write_json(root / "scenario.json", payload)
+        write_json(root / "fit.json", {"max_iters": 20})
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == []
+            else:
+                assert code in (1, 2, 3) and len(lines) == 1, (code, lines)
+                assert lines[0].startswith(("error:", "fit failed:")), lines
+            return code
+
+        data = root / "data"
+        if run(["generate", str(root / "scenario.json"), "--out", str(data)]) != 0:
+            return
+        fit_out = root / "fit"
+        if run(["fit", str(data), str(root / "fit.json"), "--out", str(fit_out)]) == 0:
+            report = json.loads((fit_out / "fit_report.json").read_text())
+            stayed = np.array_equal(report["recovered_rho"], np.tile(np.eye(3), (4, 1, 1)))
+            if report["stop_reason"] == "convergence_tol" and stayed:
+                # a fit may stop where it started (rho = I) only on a zero gradient
+                scenes, truth = generate_scenes(ScenarioConfig.from_dict(payload), 8)
+                dataset = jointmotion.fit.FitDataset.from_scenes(scenes, truth)
+                params = jointmotion.fit.UnitRowRhoParams.zeros(dataset.t_fut, 3)
+                assert not np.any(jointmotion.fit.grad_nll(params, dataset, 1e-4)), exponents
+        # modes at the origin and on the future: distances as large as the coordinates
+        future = np.asarray(json.loads((data / "scene_000.json").read_text())["future"])
+        write_json(root / "pred.json", {"modes": [np.zeros_like(future).tolist(), future.tolist()]})
+        run(["eval", str(root / "pred.json"), str(data / "scene_000.json"),
+             "--out", str(root / "metrics.csv")])
 
 
 class TestEval:

@@ -15,8 +15,11 @@ from jointmotion import (
     assemble_joint,
     correlation_for,
     empirical_increment_pcc,
+    generate_scenes,
+    heading_vectors,
     increments_from_positions,
     pair_count,
+    sample_future_positions,
     scene_nll,
     tikhonov_regularize,
 )
@@ -657,10 +660,47 @@ class TestFitConfig:
             FitConfig.from_dict({"moomentum": 0.9})
 
 
-class TestFitDataset:
-    def test_from_scenes_matches_from_config(self):
-        from jointmotion import generate_scenes
+def assert_statistics_bit_equal_to_full_einsums(dataset):
+    """The residual statistics are byte-equal to the full-product
+    reference, which sums every scatter entry (both triangles) on its own."""
+    k = dataset.n_futures
+    means = np.stack([np.stack([m.mu_x, m.mu_y], axis=-1) for m in dataset.marginals])
+    offsets = dataset.futures.transpose(0, 2, 1, 3) - means[None]
+    along = heading_vectors(dataset.theta)
+    residuals = np.einsum("ktnc,tnc->ktn", offsets, along)
+    lateral = np.einsum("ktnc,tnc->ktn", offsets, along[..., ::-1] * [-1.0, 1.0])
+    scatter = np.einsum("kta,ktb->tab", residuals, residuals) / k
+    lateral_ss = np.einsum("ktn,ktn->t", lateral, lateral) / k
+    for name, want in (("residuals", residuals), ("scatter", scatter), ("lateral_ss", lateral_ss)):
+        got = getattr(dataset, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
 
+
+class TestFitDataset:
+    @pytest.mark.parametrize("n_futures", [1, 2, 33])
+    @pytest.mark.parametrize("n_agents", [1, 2, 3, 64])
+    @pytest.mark.parametrize("curvature", [0.0, 0.3])
+    def test_statistics_bit_equal_to_full_einsums(self, n_agents, n_futures, curvature):
+        _, dataset = small_dataset(n_futures=n_futures, n_agents=n_agents, curvature=curvature)
+        assert_statistics_bit_equal_to_full_einsums(dataset)
+
+    @pytest.mark.parametrize("n_agents", [1, 2, 3, 64])
+    def test_statistics_of_zero_noise_futures_bit_equal_to_full_einsums(self, n_agents):
+        # without noise the futures lie on the means up to rounding, so the
+        # statistics hold exact zeros
+        config = ScenarioConfig(pattern="mixed", n_agents=n_agents, t_fut=4, noise_sigma=0.0)
+        futures, yaws, current, truth = sample_future_positions(config, 5)
+        noiseless = FitDataset(current, yaws[0].T, truth.mu_delta, np.ones((4, n_agents)), futures)
+        assert np.count_nonzero(noiseless.scatter == 0.0) > 0
+        assert_statistics_bit_equal_to_full_einsums(noiseless)
+
+    def test_statistics_from_scenes_bit_equal_to_full_einsums(self):
+        config = ScenarioConfig(pattern="mixed", n_agents=5, t_fut=3, curvature=0.1, seed=26)
+        scenes, truth = generate_scenes(config, 33)
+        assert_statistics_bit_equal_to_full_einsums(FitDataset.from_scenes(scenes, truth))
+
+    def test_from_scenes_matches_from_config(self):
         config = ScenarioConfig(pattern="follow", n_agents=2, t_fut=3, seed=21)
         scenes, truth = generate_scenes(config, 50)
         via_scenes = FitDataset.from_scenes(scenes, truth)
@@ -670,8 +710,6 @@ class TestFitDataset:
         np.testing.assert_array_equal(via_scenes.scatter, via_config.scatter)
 
     def test_mismatched_families_rejected(self):
-        from jointmotion import generate_scenes
-
         config_a = ScenarioConfig(pattern="follow", n_agents=2, t_fut=3, seed=22)
         config_b = ScenarioConfig(pattern="follow", n_agents=2, t_fut=3, seed=23)
         scenes_a, truth = generate_scenes(config_a, 2)

@@ -1,4 +1,4 @@
-"""The objective timing script runs and prints a row per parameterization."""
+"""The timing script runs and prints a row per timed call."""
 
 import subprocess
 import sys
@@ -7,7 +7,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent / "kernel_timing.py"
 
 
-def test_prints_environment_and_one_row_per_parameterization():
+def test_prints_environment_and_one_row_per_timed_call():
     result = subprocess.run(
         [sys.executable, str(SCRIPT), "--sizes", "2", "--t-fut", "2", "--calls", "2"],
         capture_output=True,
@@ -17,9 +17,11 @@ def test_prints_environment_and_one_row_per_parameterization():
     )
     lines = result.stdout.splitlines()
     assert "OPENBLAS_NUM_THREADS=1" in lines[1] and "cpu_count" in lines[1]
-    assert lines[2].split() == ["params", "N", "T", "calls", "min_us", "median_us"]
+    assert lines[2].split() == ["call", "N", "T", "calls", "min_us", "median_us"]
     rows = [line.split() for line in lines[3:]]
     assert [row[:4] for row in rows] == [
+        ["sample_future_positions", "2", "2", "2"],
+        ["FitDataset", "2", "2", "2"],
         ["UnitRowRhoParams", "2", "2", "2"],
         ["RelevanceParams", "2", "2", "2"],
     ]

@@ -34,6 +34,20 @@ class TestHeadParameters:
         again = RelevanceHead.unpack(head.pack(), 6)
         np.testing.assert_array_equal(head.pack(), again.pack())
 
+    def test_fields_are_stored_as_float64_arrays(self):
+        # lists and integer arrays are converted; float64 arrays are kept as given
+        head = RelevanceHead.initialize(2, seed=0)
+        again = RelevanceHead(
+            head.w_query.tolist(), np.eye(2, dtype=np.int64), head.w_value, head.w_hidden,
+            head.b_hidden.tolist(), head.w_out, head.b_out,
+        )
+        for name in ("w_query", "w_key", "b_hidden"):
+            value = getattr(again, name)
+            assert type(value) is np.ndarray and value.dtype == np.float64
+        np.testing.assert_array_equal(again.w_key, np.eye(2))
+        np.testing.assert_array_equal(again.w_query, head.w_query)
+        assert again.w_value is head.w_value and again.b_out is head.b_out
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             RelevanceHead(

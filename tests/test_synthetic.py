@@ -15,12 +15,13 @@ from jointmotion import (
     empirical_increment_pcc,
     generate_scene,
     generate_scenes,
+    heading_vectors,
     increments_from_positions,
     sample_future_positions,
     wrap_angle,
     yaw_error_distribution,
 )
-from jointmotion.synthetic import PATTERNS, _geometry, _psd_factor
+from jointmotion.synthetic import PATTERNS, _geometry, _psd_factor, _walk
 
 
 def final_step_increments(config, count):
@@ -182,7 +183,48 @@ class TestGeneration:
         np.testing.assert_array_equal(truth.sigma_delta, again.sigma_delta)
 
 
+def full_shape_walk(config, rng, factor, start, base_heading, first_step_index, count, steps):
+    """``_walk`` with every walk's heading vectors evaluated at the full
+    (count, N, steps) shape and scaled in place."""
+    n = start.shape[0]
+    jittered = config.heading_noise != 0.0
+    z = rng.standard_normal((count, 2 if jittered else 1, steps, n))
+    deltas = (z[:, 0] @ factor.T) * config.noise_sigma + config.base_speed
+    index = np.arange(first_step_index, first_step_index + steps, dtype=np.float64)
+    headings = base_heading + config.curvature * index[:, None]
+    if jittered:
+        headings = z[:, 1] * config.heading_noise + headings
+    headings = np.broadcast_to(np.swapaxes(wrap_angle(headings), -1, -2), (count, n, steps))
+    positions = heading_vectors(headings)
+    positions *= deltas.transpose(0, 2, 1)[..., None]
+    positions[:, :, :1] += start[:, None]
+    np.cumsum(positions, axis=2, out=positions)
+    return positions, headings
+
+
 class TestFutureStream:
+    @pytest.mark.parametrize("n_agents", [1, 3, 64])
+    @pytest.mark.parametrize("heading_noise", [0.0, 0.1])
+    @pytest.mark.parametrize("curvature, noise_sigma", [(0.0, 0.5), (0.3, 0.5), (0.0, 0.0)])
+    def test_walk_bit_equal_to_full_shape_headings(
+        self, n_agents, heading_noise, curvature, noise_sigma
+    ):
+        # without heading noise the vectors are computed once per family,
+        # with it once per walk; both are byte-equal to the reference
+        config = ScenarioConfig(
+            pattern="mixed", n_agents=n_agents, noise_sigma=noise_sigma,
+            curvature=curvature, heading_noise=heading_noise, seed=7,
+        )
+        factor = _psd_factor(correlation_for(config).rho)
+        base_heading, start = _geometry(config, np.random.default_rng(1))
+        for count in (1, 33):
+            args = (factor, start, base_heading, 4, count, 12)
+            got = _walk(config, np.random.default_rng(2), *args)
+            want = full_shape_walk(config, np.random.default_rng(2), *args)
+            for got_array, want_array in zip(got, want):
+                assert got_array.shape == want_array.shape
+                assert np.ascontiguousarray(got_array).tobytes() == want_array.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         pattern=st.sampled_from(PATTERNS),

@@ -91,6 +91,9 @@ CHECKS = {
         ValueError,
         "futures: expected (K, 2, 1, 2), got (2, 2, 2, 2)",
     ),
+    "FitDataset-no-futures": (
+        lambda: dataset(futures_shape=(0, 2, 1, 2)), ValueError, "dataset needs at least one future"
+    ),
     "FitDataset-scenes": (
         lambda: FitDataset.from_scenes([], None), ValueError, "dataset needs at least one scene"
     ),

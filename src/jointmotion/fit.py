@@ -56,6 +56,10 @@ ADAM_EPS = 1e-8
 
 PARAMETERIZATIONS = ("direct-rho", "relevance-head")
 
+# bytes of offsets from the means that FitDataset forms at once: 85
+# futures at N=64, T=12
+_CHUNK_BYTES = 1 << 20
+
 
 class StepFactorizationError(NotPositiveDefiniteError):
     """A per-step covariance could not be factored during fitting.
@@ -158,7 +162,15 @@ class FitDataset:
     order over the futures, divided by K; the scatter's lower triangle is
     summed one agent's row at a time and mirrored into the upper one, so
     each pair is summed once and the result is bit-identical to the full
-    product.
+    product, except at T=1 beyond about 8,000 futures.
+
+    The futures are reduced in consecutive chunks of about 1 MiB of
+    offsets (85 futures at N=64, T=12), so the build holds no (K, T, N, 2)
+    offsets or (K, T, N) lateral offsets: each chunk writes its rows of
+    ``residuals`` and each future's per-step sum of squared lateral
+    offsets, which are then summed over futures in order. Its peak is the
+    arrays it keeps plus one chunk. At T=1, where einsum sums all K N
+    squared lateral offsets in one pass, those offsets are kept whole.
 
     :meth:`latents` draws a relevance head's inputs at its width (``feature_dim``).
     """
@@ -204,11 +216,31 @@ class FitDataset:
             for t in range(t_fut)
         ]
         means = np.stack([np.stack([m.mu_x, m.mu_y], axis=-1) for m in self.marginals])
-        offsets = self.futures.transpose(0, 2, 1, 3) - means[None]
         along = heading_vectors(self.theta)
-        self.residuals = np.einsum("ktnc,tnc->ktn", offsets, along)
-        # the lateral unit vectors [-sin, cos]
-        lateral = np.einsum("ktnc,tnc->ktn", offsets, along[..., ::-1] * [-1.0, 1.0])
+        across = along[..., ::-1] * [-1.0, 1.0]  # the lateral unit vectors [-sin, cos]
+        k = self.n_futures
+        self.residuals = np.empty((k, t_fut, n))
+        # einsum sums the squared lateral offsets one future's row at a time,
+        # in order over futures, except at T=1, where it sums all K N of them
+        # in one pass: there the lateral offsets are kept whole, for its bits
+        whole = t_fut == 1
+        chunk = min(k, max(1, _CHUNK_BYTES // means.nbytes))
+        offsets = np.empty((chunk, t_fut, n, 2))
+        lateral = np.empty((k if whole else chunk, t_fut, n))
+        lateral_rows = np.empty((k, t_fut))
+        for start in range(0, k, chunk):
+            stop = min(start + chunk, k)
+            here = offsets[: stop - start]
+            # copied, then offset in place: subtracting from the transposed
+            # view buffers twice as much, and takes longer
+            here[...] = self.futures[start:stop].transpose(0, 2, 1, 3)
+            here -= means
+            np.einsum("ktnc,tnc->ktn", here, along, out=self.residuals[start:stop])
+            if whole:
+                np.einsum("ktnc,tnc->ktn", here, across, out=lateral[start:stop])
+            else:
+                across_here = np.einsum("ktnc,tnc->ktn", here, across, out=lateral[: stop - start])
+                np.einsum("ktn,ktn->kt", across_here, across_here, out=lateral_rows[start:stop])
         # each row's lower part once, mirrored: the scatter is symmetric
         self.scatter = np.empty((t_fut, n, n))
         for a in range(n):
@@ -216,8 +248,14 @@ class FitDataset:
             self.scatter[:, a, : a + 1] = row
             self.scatter[:, : a + 1, a] = row
         self.scatter /= self.n_futures
-        self.lateral_ss = np.einsum("ktn,ktn->t", lateral, lateral) / self.n_futures
+        if whole:
+            lateral_ss = np.einsum("ktn,ktn->t", lateral, lateral)
+        else:
+            lateral_ss = np.einsum("kt->t", lateral_rows)
+        self.lateral_ss = lateral_ss / k
         if not (np.all(np.isfinite(self.scatter)) and np.all(np.isfinite(self.lateral_ss))):
+            if not np.all(np.isfinite(self.futures)):
+                raise ValueError("futures contain non-finite values")
             raise ValueError(
                 "residual statistics are not finite: a future overflows its offset from the mean"
             )
@@ -583,9 +621,9 @@ def fit_parameters(
     aborts, since the objective cannot resolve the parameters at that
     delta_reg: a tiny one lets the lateral term swamp it, a huge one the
     regularization. A gradient whose square overflows Adam's second
-    moment aborts too, at the iterate it belongs to. Floating-point
-    warnings raised inside the objective and the Adam update are
-    silenced, since their results are checked. ``initial`` warm-starts
+    moment, or its bias-corrected estimate, aborts too, at the iterate it
+    belongs to. Floating-point warnings raised inside the objective and
+    the Adam update are silenced, since their results are checked. ``initial`` warm-starts
     the optimizer in place of the default parameters.
     """
     params = make_params(config, dataset) if initial is None else initial
@@ -628,12 +666,14 @@ def fit_parameters(
                 break
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            if not np.isfinite(v).all():  # a finite gradient's square can overflow
+            m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
+            v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
+            # a finite gradient's square can overflow, in v or only once
+            # bias-corrected; an infinite v_hat would freeze the step at zero
+            if not np.isfinite(v_hat).all():
                 iteration = len(trace) - 1
                 failure_reason = f"gradient too large for the optimizer at iteration {iteration}"
                 break
-            m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
-            v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
             x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     try:

@@ -12,9 +12,9 @@ untimed calls, of:
   parameters, at small random values) and on ``RelevanceParams`` (the
   relevance-head fit's seeded head).
 
-It prints the minimum and median time per call in microseconds, one row
-per call and N, with the numpy and scipy versions, the BLAS vendor and
-the CPU count. ``--src`` imports ``jointmotion`` from ``DIR/src`` instead
+It prints the minimum and median time per call in microseconds and the
+tracemalloc peak of one more, untimed call in KiB, one row per call and
+N, with the numpy and scipy versions, the BLAS vendor and the CPU count. ``--src`` imports ``jointmotion`` from ``DIR/src`` instead
 of this checkout's, so an export of another commit (``git archive``) is
 timed by the same script.
 
@@ -29,6 +29,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # before numpy loads OpenBLAS (in main): unpinned threads make small-matrix timings noise
@@ -55,6 +56,16 @@ def call_times(call, calls: int) -> list:
     return times
 
 
+def peak_kib(call) -> float:
+    """The tracemalloc peak of one ``call()``, in KiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[3, 8, 32, 64])
@@ -77,7 +88,9 @@ def main(argv=None) -> int:
         f"numpy {np.__version__} ({blas_vendor(np)}), scipy {scipy.__version__} "
         f"({blas_vendor(scipy)}), OPENBLAS_NUM_THREADS=1, cpu_count {os.cpu_count()}"
     )
-    print(f"{'call':<24}{'N':>4}{'T':>4}{'calls':>7}{'min_us':>11}{'median_us':>11}")
+    print(
+        f"{'call':<24}{'N':>4}{'T':>4}{'calls':>7}{'min_us':>11}{'median_us':>11}{'peak_kib':>11}"
+    )
     for n in args.sizes:
         config = ScenarioConfig(pattern="mixed", n_agents=n, t_fut=args.t_fut, target_rho=0.5)
         futures, yaws, current, truth = sample_future_positions(config, FUTURES)
@@ -99,6 +112,7 @@ def main(argv=None) -> int:
             print(
                 f"{name:<24}{n:>4}{args.t_fut:>4}{args.calls:>7}"
                 f"{min(times) * 1e6:>11.1f}{statistics.median(times) * 1e6:>11.1f}"
+                f"{peak_kib(call):>11.1f}"
             )
     return 0
 

@@ -1,5 +1,7 @@
 """NLL objective, analytic gradients and correlation recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -46,13 +48,13 @@ LOG_TWO_PI = np.log(2.0 * np.pi)
 
 
 def small_dataset(
-    seed=1, n_futures=64, pattern="mixed", n_agents=3, target=0.5, curvature=0.0
+    seed=1, n_futures=64, pattern="mixed", n_agents=3, target=0.5, curvature=0.0, t_fut=4
 ):
     config = ScenarioConfig(
         pattern=pattern,
         n_agents=n_agents,
         t_obs=2,
-        t_fut=4,
+        t_fut=t_fut,
         target_rho=target,
         noise_sigma=0.5,
         seed=seed,
@@ -564,6 +566,21 @@ class TestFitParameters:
         assert np.isfinite(report.final_nll)
         assert np.all(np.isfinite(report.recovered_rho))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_overflowing_only_the_bias_corrected_moment_ends_the_fit(self):
+        # the gradient is about 1.6e154: Adam's second moment 0.001 g**2 is
+        # finite, but its bias correction (/ 0.001) is not, and would freeze
+        # the step at zero, stopping on convergence_tol where the fit started
+        config = ScenarioConfig(
+            pattern="follow", n_agents=3, t_obs=2, t_fut=4, target_rho=0.5, seed=3,
+            base_speed=2.5e143, noise_sigma=0.5e51, curvature=1e-17,
+        )
+        dataset = FitDataset.from_config(config, n_futures=8)
+        report = fit_parameters(FitConfig(max_iters=20), dataset)
+        assert report.failure_reason == "gradient too large for the optimizer at iteration 0"
+        assert report.stop_reason == "failure"
+        assert report.iterations_run == 1
+
     def test_infinite_objective_ends_the_fit_with_a_report(self):
         # curved futures leave lateral residuals, whose term L_t / delta
         # overflows the objective itself at delta_reg 1e-308
@@ -660,7 +677,9 @@ class TestFitConfig:
             FitConfig.from_dict({"moomentum": 0.9})
 
 
-def assert_statistics_bit_equal_to_full_einsums(dataset):
+def assert_statistics_bit_equal_to_full_einsums(
+    dataset, names=("residuals", "scatter", "lateral_ss")
+):
     """The residual statistics are byte-equal to the full-product
     reference, which sums every scatter entry (both triangles) on its own."""
     k = dataset.n_futures
@@ -671,19 +690,61 @@ def assert_statistics_bit_equal_to_full_einsums(dataset):
     lateral = np.einsum("ktnc,tnc->ktn", offsets, along[..., ::-1] * [-1.0, 1.0])
     scatter = np.einsum("kta,ktb->tab", residuals, residuals) / k
     lateral_ss = np.einsum("ktn,ktn->t", lateral, lateral) / k
-    for name, want in (("residuals", residuals), ("scatter", scatter), ("lateral_ss", lateral_ss)):
-        got = getattr(dataset, name)
+    reference = {"residuals": residuals, "scatter": scatter, "lateral_ss": lateral_ss}
+    for name in names:
+        got, want = getattr(dataset, name), reference[name]
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
 
 
+def chunk_futures(n_agents, t_fut):
+    """Futures per chunk of the ``FitDataset`` build."""
+    return jointmotion.fit._CHUNK_BYTES // (t_fut * n_agents * 2 * 8)
+
+
+def chunk_crossings(n_agents, t_fut):
+    """K of exactly one chunk, of one future past it, and of several
+    chunks plus a remainder."""
+    chunk = chunk_futures(n_agents, t_fut)
+    return [chunk, chunk + 1, 3 * chunk + 7]
+
+
 class TestFitDataset:
-    @pytest.mark.parametrize("n_futures", [1, 2, 33])
-    @pytest.mark.parametrize("n_agents", [1, 2, 3, 64])
+    @pytest.mark.parametrize(
+        "n_agents, n_futures",
+        [(n, k) for n in (1, 2, 3, 64) for k in (1, 2, 33)]
+        + [(n, k) for n in (3, 64) for k in chunk_crossings(n, 4)],
+    )
     @pytest.mark.parametrize("curvature", [0.0, 0.3])
     def test_statistics_bit_equal_to_full_einsums(self, n_agents, n_futures, curvature):
         _, dataset = small_dataset(n_futures=n_futures, n_agents=n_agents, curvature=curvature)
         assert_statistics_bit_equal_to_full_einsums(dataset)
+
+    def test_chunk_is_about_one_mebibyte_of_offsets(self):
+        assert (chunk_futures(64, 12), chunk_futures(3, 12)) == (85, 1820)
+
+    @pytest.mark.parametrize(
+        "n_agents, n_futures", [(n, k) for n in (1, 3, 64) for k in chunk_crossings(n, 1)]
+    )
+    def test_single_step_statistics_bit_equal_to_full_einsums(self, n_agents, n_futures):
+        # at T=1 einsum sums all K N squared lateral offsets in one pass; the
+        # scatter is left out, since there its row-by-row sums can differ
+        # from the full product's at large K
+        _, dataset = small_dataset(n_futures=n_futures, n_agents=n_agents, t_fut=1)
+        assert_statistics_bit_equal_to_full_einsums(dataset, ("residuals", "lateral_ss"))
+
+    def test_build_peak_is_kept_arrays_plus_one_chunk(self):
+        config = ScenarioConfig(pattern="mixed", n_agents=64, t_fut=12, target_rho=0.5)
+        futures, yaws, current, truth = sample_future_positions(config, 1024)
+        tracemalloc.start()
+        try:
+            dataset = FitDataset(current, yaws[0].T, truth.mu_delta, truth.sigma_delta, futures)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = dataset.residuals.nbytes + dataset.scatter.nbytes + dataset.lateral_ss.nbytes
+        # one chunk: about 1 MiB of offsets and 0.5 MiB of lateral offsets
+        assert peak - kept <= 2 * 2**20
 
     @pytest.mark.parametrize("n_agents", [1, 2, 3, 64])
     def test_statistics_of_zero_noise_futures_bit_equal_to_full_einsums(self, n_agents):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointmotion import (
     CorrelationMatrix,
@@ -288,6 +290,30 @@ class TestEquivalence:
         eigvals = np.linalg.eigvalsh(block)
         assert abs(eigvals[0]) < 1e-15
         np.testing.assert_allclose(eigvals[1], 0.81, rtol=1e-12)
+
+
+# any heading in [-pi, pi], or one on an axis, where cos or sin is 0 or a signed zero
+HEADINGS = st.one_of(
+    st.floats(-np.pi, np.pi),
+    st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]),
+)
+
+
+class TestRouteProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.lists(HEADINGS, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_rank_at_most_n_and_routes_agree(self, theta, seed):
+        n = len(theta)
+        inc, corr, _, current = random_instance(np.random.default_rng(seed), n)
+        theta = np.array(theta)
+        direct = project_increments(inc, corr, theta, current)
+        assembled = assemble_joint(projected_marginals(inc, theta, current), corr, theta)
+        for cov in (direct.cov, assembled.cov):
+            assert np.array_equal(cov, cov.T)
+        # each agent moves on a line: all but N singular values vanish up to rounding
+        singular = np.linalg.svd(direct.cov, compute_uv=False)
+        assert np.all(singular[n:] <= 1e-12 * singular[0])
+        assert equivalence_check(inc, corr, theta, current) <= (1e-14 if n == 1 else 1e-10)
 
 
 class TestParameterCounting:

@@ -17,7 +17,7 @@ def test_prints_environment_and_one_row_per_timed_call():
     )
     lines = result.stdout.splitlines()
     assert "OPENBLAS_NUM_THREADS=1" in lines[1] and "cpu_count" in lines[1]
-    assert lines[2].split() == ["call", "N", "T", "calls", "min_us", "median_us"]
+    assert lines[2].split() == ["call", "N", "T", "calls", "min_us", "median_us", "peak_kib"]
     rows = [line.split() for line in lines[3:]]
     assert [row[:4] for row in rows] == [
         ["sample_future_positions", "2", "2", "2"],
@@ -26,3 +26,4 @@ def test_prints_environment_and_one_row_per_timed_call():
         ["RelevanceParams", "2", "2", "2"],
     ]
     assert all(0.0 < float(row[4]) <= float(row[5]) for row in rows)
+    assert all(float(row[6]) > 0.0 for row in rows)

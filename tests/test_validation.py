@@ -54,15 +54,19 @@ def joint2():
     return JointGaussian(mean=np.zeros(2), cov=EYE2)
 
 
-def dataset(n_agents=2, futures_shape=None):
-    """A one-step family of two futures, or one with the given futures shape."""
-    shape = futures_shape or (2, n_agents, 1, 2)
+def dataset(n_agents=2, futures_shape=None, t_fut=1, first=None):
+    """A family of two futures, or one with the given futures shape;
+    ``first``, if given, replaces every coordinate of the first future."""
+    shape = futures_shape or (2, n_agents, t_fut, 2)
+    futures = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    if first is not None:
+        futures[0] = first
     return FitDataset(
         current=np.zeros((n_agents, 2)),
-        theta=np.zeros((1, n_agents)),
-        mu_delta=np.ones((1, n_agents)),
-        sigma_delta=np.ones((1, n_agents)),
-        futures=np.arange(np.prod(shape), dtype=np.float64).reshape(shape),
+        theta=np.zeros((t_fut, n_agents)),
+        mu_delta=np.ones((t_fut, n_agents)),
+        sigma_delta=np.ones((t_fut, n_agents)),
+        futures=futures,
     )
 
 
@@ -93,6 +97,15 @@ CHECKS = {
     ),
     "FitDataset-no-futures": (
         lambda: dataset(futures_shape=(0, 2, 1, 2)), ValueError, "dataset needs at least one future"
+    ),
+    "FitDataset-non-finite-futures": (
+        lambda: dataset(first=np.nan), ValueError, "futures contain non-finite values"
+    ),
+    # finite, but its squared offset overflows; einsum reduces it without a warning
+    "FitDataset-overflow": (
+        lambda: dataset(t_fut=2, first=1e200),
+        ValueError,
+        "residual statistics are not finite: a future overflows its offset from the mean",
     ),
     "FitDataset-scenes": (
         lambda: FitDataset.from_scenes([], None), ValueError, "dataset needs at least one scene"
@@ -275,6 +288,7 @@ CHECKS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_check_raises_its_error_and_message(name):
     call, error, fragment = CHECKS[name]

@@ -324,6 +324,24 @@ def _pair_indices(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@lru_cache(maxsize=None)
+def _lower_flat(n: int) -> np.ndarray:
+    """Read-only flat offsets ``i * n + j`` of ``np.tril_indices(n, -1)``
+    in an (N, N) matrix, computed once per N."""
+    rows, cols = _pair_indices(n, -1)
+    flat = rows * n + cols
+    flat.setflags(write=False)
+    return flat
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """Read-only ``np.eye(n)``, made once per N."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def _rho_stack(rho: np.ndarray, t_fut: Optional[int]) -> np.ndarray:
     """One (N, N) matrix shared by ``t_fut`` steps, or a (T, N, N) stack."""
     rho = np.asarray(rho, dtype=np.float64)
@@ -446,17 +464,19 @@ class UnitRowRhoParams(DirectRhoParams):
         il, jl = _pair_indices(rho.shape[1], -1)
         return cls(rows[:, il, jl], rho.shape[1])
 
+    # the parameters go in and out through one flat index on (T, N N) views
     def _forward(self):
         n = self.n_agents
-        il, jl = _pair_indices(n, -1)
-        rows = np.tile(np.eye(n), (self.t_fut, 1, 1))
-        rows[:, il, jl] = self.raw
-        rho, norms, unit = cosine_gram(rows)
+        rows = np.zeros((self.t_fut, n * n))
+        rows[:, :: n + 1] = 1.0
+        rows[:, _lower_flat(n)] = self.raw
+        rho, norms, unit = cosine_gram(rows.reshape(self.t_fut, n, n))
         return rho, (unit, norms)
 
     def _raw_grad(self, d_rho: np.ndarray, cache) -> np.ndarray:
-        il, jl = _pair_indices(self.n_agents, -1)
-        return cosine_gram_backward(d_rho, *cache)[:, il, jl]
+        n = self.n_agents
+        d_rows = cosine_gram_backward(d_rho, *cache)
+        return d_rows.reshape(self.t_fut, n * n)[:, _lower_flat(n)]
 
 
 class RelevanceParams:
@@ -514,13 +534,19 @@ def _nll_over_rho(
     to rho[t, i, j] alone (zero diagonal). The derivative of the pair
     scalar shared by (i, j) and (j, i) is the sum of the two entries.
 
-    The per-step loop holds only the LAPACK calls: one ``dpotrf`` and two
-    triangular solves per step (four with the gradient, plus I - W). It
-    stores each step's factor diagonal, whitened scatter W and
-    A^-1 - A^-1 S A^-1; the log-determinants, traces and gradient scaling
-    are then computed once over the (T, ...) stacks, and the value is
-    summed in step order, so the result is bit-identical to finishing each
-    step inside the loop.
+    The per-step loops hold only the LAPACK calls. The first makes one
+    ``dpotrf`` and two triangular solves per step, and keeps each step's
+    factor, its diagonal and its whitened scatter W; the log-determinants
+    and traces are computed once over the (T, ...) stacks, and the value
+    is summed in step order. With the gradient, I - W is formed for every
+    step at once and a second loop makes two more solves per step, giving
+    A^-1 - A^-1 S A^-1; its scaling by Sigma is then done once over the
+    stack. The covariances, I - W, the scaling and the zeroed diagonal are
+    computed in place in buffers this call allocates, by the same
+    operations on the same operands in the same order as finishing each
+    step inside one loop, so the result is bit-identical to that. The
+    finiteness checks run once per stack, and the failing step is looked
+    up only to name it.
 
     Raises StepFactorizationError at the first step that does not factor,
     and FloatingPointError when a step covariance, or the gradient at a
@@ -531,42 +557,52 @@ def _nll_over_rho(
         # the lateral block delta I is singular; in the [along, lateral]
         # basis its first pivot (index N) is the first to fail
         raise StepFactorizationError(step=0, pivot=n)
-    eye = np.eye(n)
+    eye = _identity(n)
     sigma = dataset.sigma_delta
-    cov = sigma[:, :, None] * rho * sigma[:, None, :] + delta_reg * eye
-    finite = np.isfinite(cov).all(axis=(1, 2))
-    if not finite.all():
+    cov = np.multiply(sigma[:, :, None], rho)
+    cov *= sigma[:, None, :]
+    cov += delta_reg * eye
+    if not np.isfinite(cov).all():
+        finite = np.isfinite(cov).all(axis=(1, 2))
         raise FloatingPointError(f"covariance at future step {np.argmin(finite)} is not finite")
     rho_free = n * np.log(delta_reg) + dataset.lateral_ss / delta_reg + 2 * n * LOG_TWO_PI
     t_fut = dataset.t_fut
+    lowers = []
     diagonals = np.empty((t_fut, n))
     whites = np.empty((t_fut, n, n))
-    grad_cov = np.empty((t_fut, n, n)) if want_grad else None
     for t in range(t_fut):
         lower, info = dpotrf(cov[t], lower=1, clean=1)
         if info:  # the fixed arguments rule out info < 0 (an illegal argument)
             raise StepFactorizationError(step=t, pivot=info - 1)
+        lowers.append(lower)
         diagonals[t] = lower.diagonal()
         # whitened scatter W = L^-1 S L^-T, so tr(A^-1 S) = tr(W)
         half = solve_triangular(lower, dataset.scatter[t])
-        white = whites[t] = solve_triangular(lower, half.T)
-        if want_grad:
-            # A^-1 - A^-1 S A^-1 = L^-T (I - W) L^-1, by triangular solves only
-            left = solve_triangular(lower, eye - white, trans=1)
-            grad_cov[t] = solve_triangular(lower, left.T, trans=1)
-    log_dets = 2.0 * np.log(diagonals).sum(axis=1)
-    terms = 0.5 * (log_dets + np.trace(whites, axis1=1, axis2=2) + rho_free)
+        whites[t] = solve_triangular(lower, half.T)
+    terms = np.log(diagonals, out=diagonals).sum(axis=1)
+    terms *= 2.0
+    terms += whites.trace(axis1=1, axis2=2)
+    terms += rho_free
+    terms *= 0.5
     value = 0.0
     # in step order, one addition per step (Python 3.12's sum() compensates)
     for term in terms.tolist():
         value += term
     if not want_grad:
         return value, None
-    d_rho = 0.5 * sigma[:, :, None] * grad_cov * sigma[:, None, :]
-    diagonal = np.arange(n)
-    d_rho[:, diagonal, diagonal] = 0.0
-    finite = np.isfinite(d_rho).all(axis=(1, 2))
-    if not finite.all():
+    # A^-1 - A^-1 S A^-1 = L^-T (I - W) L^-1, by triangular solves only;
+    # I - W is formed for every step at once, in W's buffer
+    residuals = np.subtract(eye, whites, out=whites)
+    grad_cov = np.empty((t_fut, n, n))
+    for t, lower in enumerate(lowers):
+        left = solve_triangular(lower, residuals[t], trans=1)
+        grad_cov[t] = solve_triangular(lower, left.T, trans=1)
+    # 0.5 sigma_i grad_cov sigma_j, in grad_cov's buffer, with a zero diagonal
+    d_rho = np.multiply((0.5 * sigma)[:, :, None], grad_cov, out=grad_cov)
+    d_rho *= sigma[:, None, :]
+    d_rho.reshape(t_fut, n * n)[:, :: n + 1] = 0.0
+    if not np.isfinite(d_rho).all():
+        finite = np.isfinite(d_rho).all(axis=(1, 2))
         raise FloatingPointError(f"gradient at future step {np.argmin(finite)} is not finite")
     return value, d_rho
 
@@ -625,6 +661,12 @@ def fit_parameters(
     belongs to. Floating-point warnings raised inside the objective and
     the Adam update are silenced, since their results are checked. ``initial`` warm-starts
     the optimizer in place of the default parameters.
+
+    Adam's moments and bias-corrected estimates are updated in place, in
+    four buffers allocated once per fit, by the same operations in the
+    same order as the out-of-place update, so the trace and the
+    correlations are bit-identical to it. Each iterate is still a new
+    array, because the last finite one is kept for the report.
     """
     params = make_params(config, dataset) if initial is None else initial
     x = x_finite = params.vector()
@@ -632,8 +674,11 @@ def fit_parameters(
     failure_reason = None
     stop_reason = "max_iters"
 
+    # Adam's buffers; x stays a new array each iteration, for x_finite
     m = np.zeros_like(x)
     v = np.zeros_like(x)
+    m_hat = np.empty_like(x)
+    v_hat = np.empty_like(x)
     trace: List[float] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while len(trace) < config.max_iters:
@@ -664,17 +709,27 @@ def fit_parameters(
             if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < config.convergence_tol:
                 stop_reason = "convergence_tol"
                 break
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
-            v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
+            # m_hat and v_hat first hold the new terms of m and v
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, grad, out=m_hat)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, grad, out=v_hat)
+            v += np.multiply(v_hat, grad, out=v_hat)
+            np.divide(m, 1.0 - ADAM_BETA1 ** len(trace), out=m_hat)
+            np.divide(v, 1.0 - ADAM_BETA2 ** len(trace), out=v_hat)
             # a finite gradient's square can overflow, in v or only once
-            # bias-corrected; an infinite v_hat would freeze the step at zero
-            if not np.isfinite(v_hat).all():
+            # bias-corrected; an infinite v_hat would freeze the step at zero.
+            # v_hat >= 0, so its maximum is finite iff all of it is (N = 1: empty)
+            if not math.isfinite(v_hat.max(initial=0.0)):
                 iteration = len(trace) - 1
                 failure_reason = f"gradient too large for the optimizer at iteration {iteration}"
                 break
-            x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # the step lr m_hat / (sqrt(v_hat) + eps), built in m_hat
+            m_hat *= config.learning_rate
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += ADAM_EPS
+            m_hat /= v_hat
+            x = x - m_hat
 
     try:
         recovered = _clipped_rho(params.with_vector(x), dataset)

@@ -90,16 +90,17 @@ class RelevanceHead:
         """Inverse of :meth:`pack`."""
         vector = np.asarray(vector, dtype=np.float64)
         d = feature_dim
-        shapes = [(d, d), (d, d), (d, d), (d, d), (d,), (d, d), (d,)]
-        if vector.shape != (sum(math.prod(s) for s in shapes),):
+        square = d * d
+        if vector.shape != (5 * square + 2 * d,):
             raise ValueError(f"parameter vector has wrong length {vector.shape}")
-        parts = []
-        offset = 0
-        for shape in shapes:
-            size = math.prod(shape)
-            parts.append(vector[offset : offset + size].reshape(shape))
-            offset += size
-        return cls(*parts)
+        # the four attention and hidden (d, d) matrices, then b_hidden, w_out, b_out
+        hidden_end = 4 * square + d
+        return cls(
+            *vector[: 4 * square].reshape(4, d, d),
+            vector[4 * square : hidden_end],
+            vector[hidden_end : hidden_end + square].reshape(d, d),
+            vector[hidden_end + square :],
+        )
 
 
 def cosine_gram(features: np.ndarray):
@@ -110,15 +111,21 @@ def cosine_gram(features: np.ndarray):
     (symmetric, unit diagonal, positive semidefinite). Both fits get their
     correlations from this map: the relevance head from its output rows,
     the direct fit from the rows of a unit-diagonal lower-triangular matrix.
+
+    The norms are ``np.linalg.norm``'s for real rows, the square root of
+    the summed squares, without its wrapper; the zero rows are searched
+    for only when there is one, and the diagonal is set through a strided
+    view of the fresh product. So the results are bit-identical to the
+    wrapper's and the indexed assignment's.
     """
-    norms = np.linalg.norm(features, axis=-1)
-    zero = np.argwhere(norms == 0.0)
-    if zero.size:
+    norms = np.sqrt(np.add.reduce(features * features, axis=-1))
+    if not norms.all():
+        zero = np.argwhere(norms == 0.0)
         raise DegenerateFeatureError(f"feature row {zero[0, -1]} has zero norm")
     unit = features / norms[..., None]
     rho = unit @ unit.mT
-    diagonal = np.arange(rho.shape[-1])
-    rho[..., diagonal, diagonal] = 1.0
+    n = rho.shape[-1]
+    rho.reshape(rho.shape[:-2] + (n * n,))[..., :: n + 1] = 1.0
     return rho, norms, unit
 
 
@@ -128,12 +135,21 @@ def cosine_gram_backward(d_rho: np.ndarray, unit: np.ndarray, norms: np.ndarray)
     ``d_rho`` is the loss gradient with respect to its ``rho``, with every
     entry treated as independent; the diagonal is ignored (it is pinned
     to 1). ``unit`` and ``norms`` are the ones :func:`cosine_gram` returned.
+
+    ``d_rho`` is copied once, so the caller's array is never changed; the
+    projection (d_unit - <d_unit, unit> unit) / norms is then finished in
+    place in the product's own buffer, with the same operations in the
+    same order as the out-of-place expression.
     """
-    d_rho = np.array(d_rho, dtype=np.float64)
-    diagonal = np.arange(d_rho.shape[-1])
-    d_rho[..., diagonal, diagonal] = 0.0
+    d_rho = np.array(d_rho, dtype=np.float64, order="C")
+    n = d_rho.shape[-1]
+    d_rho.reshape(d_rho.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0
     d_unit = (d_rho + d_rho.mT) @ unit
-    return (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norms[..., None]
+    along = d_unit * unit
+    np.multiply(np.add.reduce(along, axis=-1, keepdims=True), unit, out=along)
+    d_unit -= along
+    d_unit /= norms[..., None]
+    return d_unit
 
 
 def relevance_forward_cached(features: np.ndarray, head: RelevanceHead):
@@ -148,19 +164,23 @@ def relevance_forward_cached(features: np.ndarray, head: RelevanceHead):
     d = head.feature_dim
     if features.ndim not in (2, 3) or features.shape[-1] != d:
         raise ValueError(f"features: expected (N, {d}) or (T, N, {d}), got {features.shape}")
-    if not np.all(np.isfinite(features)):
+    if not np.isfinite(features).all():
         raise ValueError("features contain non-finite values")
     q = features @ head.w_query
     k = features @ head.w_key
     v = features @ head.w_value
-    scores = (q @ k.mT) / np.sqrt(d)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    attn = weights / weights.sum(axis=-1, keepdims=True)
+    # each step below writes into the previous one's fresh buffer
+    attn = q @ k.mT
+    attn /= math.sqrt(d)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
     mixed = attn @ v
-    pre = mixed @ head.w_hidden + head.b_hidden
-    hidden = np.tanh(pre)
-    out = hidden @ head.w_out + head.b_out
+    hidden = mixed @ head.w_hidden
+    hidden += head.b_hidden
+    np.tanh(hidden, out=hidden)
+    out = hidden @ head.w_out
+    out += head.b_out
     rho, norms, unit = cosine_gram(out)
     cache = {
         "features": features,
@@ -193,21 +213,28 @@ def relevance_backward(cache: dict, d_rho: np.ndarray, head: RelevanceHead) -> n
 
     hidden = cache["hidden"]
     d_w_out = hidden.mT @ d_out
-    d_b_out = d_out.sum(axis=-2)
-    d_hidden = d_out @ head.w_out.T
-    d_pre = d_hidden * (1.0 - hidden * hidden)
+    d_b_out = np.add.reduce(d_out, axis=-2)
+    # d_pre = d_hidden * (1 - hidden^2), finished in d_hidden's buffer
+    d_pre = d_out @ head.w_out.T
+    slope = hidden * hidden
+    np.subtract(1.0, slope, out=slope)
+    d_pre *= slope
     d_w_hidden = cache["mixed"].mT @ d_pre
-    d_b_hidden = d_pre.sum(axis=-2)
+    d_b_hidden = np.add.reduce(d_pre, axis=-2)
     d_mixed = d_pre @ head.w_hidden.T
 
     attn = cache["attn"]
     v = cache["v"]
-    d_attn = d_mixed @ v.mT
+    # d_scores = attn * (d_attn - <d_attn, attn>), finished in d_attn's buffer
+    d_scores = d_mixed @ v.mT
     d_v = attn.mT @ d_mixed
-    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
-    scale = 1.0 / np.sqrt(d)
-    d_q = d_scores @ cache["k"] * scale
-    d_k = d_scores.mT @ cache["q"] * scale
+    d_scores -= np.add.reduce(d_scores * attn, axis=-1, keepdims=True)
+    d_scores *= attn
+    scale = 1.0 / math.sqrt(d)
+    d_q = d_scores @ cache["k"]
+    d_q *= scale
+    d_k = d_scores.mT @ cache["q"]
+    d_k *= scale
 
     grads = (
         features.mT @ d_q,

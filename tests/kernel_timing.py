@@ -10,16 +10,22 @@ untimed calls, of:
 - the ``FitDataset`` build from the family (its residual statistics);
 - ``value_and_grad`` on ``UnitRowRhoParams`` (the direct-rho fit's
   parameters, at small random values) and on ``RelevanceParams`` (the
-  relevance-head fit's seeded head).
+  relevance-head fit's seeded head);
+- ``fit_parameters`` for each parameterization, started from those same
+  parameters: a fit of 10 iterations that neither converges nor fails,
+  whose time is divided by 10. So its row is the time of one iteration:
+  the Adam step, the parameters rebuilt from the new vector and the
+  objective, plus a tenth of the fit's start and final correlations.
 
-It prints the minimum and median time per call in microseconds and the
-tracemalloc peak of one more, untimed call in KiB, one row per call and
-N, with the numpy and scipy versions, the BLAS vendor and the CPU count. ``--src`` imports ``jointmotion`` from ``DIR/src`` instead
-of this checkout's, so an export of another commit (``git archive``) is
-timed by the same script.
+It prints the minimum and median time per call (per iteration for a fit)
+in microseconds and the tracemalloc peak of one more, untimed call (a
+whole fit) in KiB, one row per call and N, with the numpy and scipy
+versions, the BLAS vendor and the CPU count. ``--src`` imports
+``jointmotion`` from ``DIR/src`` instead of this checkout's, so an export
+of another commit (``git archive``) is timed by the same script.
 
-Not part of tier 1 (like ``ab_pairs.py``); the defaults take about half
-a minute.
+Not part of tier 1 (like ``ab_pairs.py``); the defaults take about a
+minute.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 REPO = Path(__file__).resolve().parent.parent
 FUTURES = 256  # futures in each sampled family
+FIT_ITERATIONS = 10  # iterations of each timed fit_parameters call
 
 
 def blas_vendor(module) -> str:
@@ -81,7 +88,13 @@ def main(argv=None) -> int:
 
     import jointmotion
     from jointmotion import ScenarioConfig, pair_count, sample_future_positions
-    from jointmotion.fit import FitDataset, RelevanceParams, UnitRowRhoParams
+    from jointmotion.fit import (
+        FitConfig,
+        FitDataset,
+        RelevanceParams,
+        UnitRowRhoParams,
+        fit_parameters,
+    )
 
     print(f"jointmotion {jointmotion.__version__} from {Path(jointmotion.__file__).parent}")
     print(
@@ -89,7 +102,7 @@ def main(argv=None) -> int:
         f"({blas_vendor(scipy)}), OPENBLAS_NUM_THREADS=1, cpu_count {os.cpu_count()}"
     )
     print(
-        f"{'call':<24}{'N':>4}{'T':>4}{'calls':>7}{'min_us':>11}{'median_us':>11}{'peak_kib':>11}"
+        f"{'call':<30}{'N':>4}{'T':>4}{'calls':>7}{'min_us':>11}{'median_us':>11}{'peak_kib':>11}"
     )
     for n in args.sizes:
         config = ScenarioConfig(pattern="mixed", n_agents=n, t_fut=args.t_fut, target_rho=0.5)
@@ -100,17 +113,35 @@ def main(argv=None) -> int:
 
         dataset = build()
         raw = np.random.default_rng(n).normal(scale=0.1, size=(args.t_fut, pair_count(n)))
+        starts = {
+            "direct-rho": UnitRowRhoParams(raw, n),
+            "relevance-head": RelevanceParams.initialize(8, seed=0),
+        }
+
+        def fit(parameterization):
+            fit_config = FitConfig(
+                parameterization=parameterization, max_iters=FIT_ITERATIONS, convergence_tol=0.0
+            )
+            report = fit_parameters(fit_config, dataset, initial=starts[parameterization])
+            if report.iterations_run != FIT_ITERATIONS:
+                raise SystemExit(f"error: the {parameterization} fit at N={n} stopped early: "
+                                 f"{report.failure_reason}")
+
+        # (row name, call, iterations per call)
         calls = [
-            ("sample_future_positions", lambda: sample_future_positions(config, FUTURES)),
-            ("FitDataset", build),
+            ("sample_future_positions", lambda: sample_future_positions(config, FUTURES), 1),
+            ("FitDataset", build, 1),
         ] + [
-            (type(params).__name__, lambda params=params: params.value_and_grad(dataset, 1e-4))
-            for params in (UnitRowRhoParams(raw, n), RelevanceParams.initialize(8, seed=0))
+            (type(params).__name__, lambda params=params: params.value_and_grad(dataset, 1e-4), 1)
+            for params in starts.values()
+        ] + [
+            (f"fit_parameters/{name}", lambda name=name: fit(name), FIT_ITERATIONS)
+            for name in starts
         ]
-        for name, call in calls:
-            times = call_times(call, args.calls)
+        for name, call, iterations in calls:
+            times = [elapsed / iterations for elapsed in call_times(call, args.calls)]
             print(
-                f"{name:<24}{n:>4}{args.t_fut:>4}{args.calls:>7}"
+                f"{name:<30}{n:>4}{args.t_fut:>4}{args.calls:>7}"
                 f"{min(times) * 1e6:>11.1f}{statistics.median(times) * 1e6:>11.1f}"
                 f"{peak_kib(call):>11.1f}"
             )

@@ -1167,3 +1167,69 @@ class TestInputBoundary:
                 lines = err.getvalue().splitlines()
                 assert len(lines) <= 1, lines
                 assert all(line.startswith(("error:", "fit failed:")) for line in lines)
+
+
+class TestDegenerateDirectories:
+    """Scene, sidecar and prediction directories with files missing or
+    unmatched end in the documented exit code with one ``error:`` line:
+    1 for a directory with no scene or prediction files, 2 for a scene
+    without its truth sidecar or a prediction without its scene."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(scenes=set(), sidecars={0, 1, 2}, predictions=set())
+    @example(scenes={0, 1, 2}, sidecars={0, 2}, predictions={0, 1, 2, 3})
+    @given(
+        scenes=st.sets(st.integers(0, 2)),
+        sidecars=st.sets(st.integers(0, 2)),
+        predictions=st.sets(st.integers(0, 4)),
+    )
+    def test_missing_and_unmatched_files(self, small_family, scenes, sidecars, predictions):
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch) / "family"
+            shutil.copytree(small_family, root)
+            dataset, preds = root / "dataset", root / "preds"
+            for index in range(3):
+                if index not in scenes:
+                    (dataset / f"scene_{index:03d}.json").unlink()
+                if index not in sidecars:
+                    (dataset / f"scene_{index:03d}.truth.json").unlink()
+            preds.mkdir()
+            for index in predictions:
+                shutil.copy(root / "pred.json", preds / f"scene_{index:03d}.json")
+
+            unpaired = sorted(scenes - sidecars)
+            if not scenes:
+                expected_fit = (1, f"error: invalid dataset: no scene files in {dataset}")
+            elif unpaired:
+                expected_fit = (2, "error: cannot read dataset: ")
+            else:
+                expected_fit = (0, None)
+            unmatched = sorted(predictions - scenes)
+            if not predictions:
+                expected_eval = (1, f"error: invalid evaluation input: no prediction files in {preds}")
+            elif unmatched:
+                expected_eval = (2, "error: cannot read evaluation input: ")
+            else:
+                expected_eval = (0, None)
+            missing = {
+                "fit": f"scene_{unpaired[0]:03d}.truth.json" if unpaired else None,
+                "eval": f"scene_{unmatched[0]:03d}.json" if unmatched else None,
+            }
+            runs = {
+                "fit": (["fit", str(dataset), str(root / "fit.json"), "--out", str(root / "fit")],
+                        root / "fit", expected_fit),
+                "eval": (["eval", str(preds), str(dataset), "--out", str(root / "m" / "m.csv")],
+                         root / "m", expected_eval),
+            }
+            for command, (argv, out, (code, line)) in runs.items():
+                err = io.StringIO()
+                with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                    assert main(argv) == code, (command, err.getvalue())
+                lines = err.getvalue().splitlines()
+                if code == 0:
+                    assert lines == []
+                    continue
+                assert len(lines) == 1 and lines[0].startswith(line), (command, lines)
+                if code == 2:
+                    assert missing[command] in lines[0]
+                assert not out.exists()

@@ -26,6 +26,10 @@ from jointmotion import (
     tikhonov_regularize,
 )
 from jointmotion.fit import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    PARAMETERIZATIONS,
     DirectRhoParams,
     FitConfig,
     FitDataset,
@@ -41,7 +45,13 @@ from jointmotion.fit import (
     relative_gradient_errors,
 )
 from jointmotion.gaussian import solve_triangular
-from jointmotion.relevance import RelevanceHead
+from jointmotion.relevance import (
+    RelevanceHead,
+    cosine_gram,
+    cosine_gram_backward,
+    relevance_backward,
+    relevance_forward_cached,
+)
 from jointmotion.scene import write_json
 
 LOG_TWO_PI = np.log(2.0 * np.pi)
@@ -273,6 +283,181 @@ class TestLapackCalls:
         assert counts == {"dpotrf": dataset.t_fut, "solve_triangular": 4 * dataset.t_fut}
         params.value(dataset, 1e-4)
         assert counts == {"dpotrf": 2 * dataset.t_fut, "solve_triangular": 6 * dataset.t_fut}
+
+
+# Reference copies of the objective, the unit-row map and the Adam loop as
+# first written, out of place and through numpy's wrappers. The relevance
+# kernels they call are the library's: tests/test_relevance.py holds those
+# to its own reference copies.
+
+
+def reference_nll_over_rho(rho, dataset, delta_reg):
+    n = dataset.n_agents
+    eye = np.eye(n)
+    sigma = dataset.sigma_delta
+    cov = sigma[:, :, None] * rho * sigma[:, None, :] + delta_reg * eye
+    assert np.isfinite(cov).all()
+    rho_free = n * np.log(delta_reg) + dataset.lateral_ss / delta_reg + 2 * n * LOG_TWO_PI
+    t_fut = dataset.t_fut
+    diagonals = np.empty((t_fut, n))
+    whites = np.empty((t_fut, n, n))
+    grad_cov = np.empty((t_fut, n, n))
+    for t in range(t_fut):
+        lower, info = dpotrf(cov[t], lower=1, clean=1)
+        assert info == 0
+        diagonals[t] = lower.diagonal()
+        half = solve_triangular(lower, dataset.scatter[t])
+        white = whites[t] = solve_triangular(lower, half.T)
+        left = solve_triangular(lower, eye - white, trans=1)
+        grad_cov[t] = solve_triangular(lower, left.T, trans=1)
+    log_dets = 2.0 * np.log(diagonals).sum(axis=1)
+    terms = 0.5 * (log_dets + np.trace(whites, axis1=1, axis2=2) + rho_free)
+    value = 0.0
+    for term in terms.tolist():
+        value += term
+    d_rho = 0.5 * sigma[:, :, None] * grad_cov * sigma[:, None, :]
+    diagonal = np.arange(n)
+    d_rho[:, diagonal, diagonal] = 0.0
+    assert np.isfinite(d_rho).all()
+    return value, d_rho
+
+
+def reference_unit_row_forward(params):
+    n = params.n_agents
+    il, jl = np.tril_indices(n, -1)
+    rows = np.tile(np.eye(n), (params.t_fut, 1, 1))
+    rows[:, il, jl] = params.raw
+    return cosine_gram(rows)
+
+
+def reference_value_and_grad(params, dataset, delta_reg):
+    if isinstance(params, RelevanceParams):
+        rho, cache = relevance_forward_cached(dataset.latents(params.head.feature_dim), params.head)
+        value, d_rho = reference_nll_over_rho(rho, dataset, delta_reg)
+        return value, relevance_backward(cache, d_rho, params.head)
+    rho, norms, unit = reference_unit_row_forward(params)
+    value, d_rho = reference_nll_over_rho(rho, dataset, delta_reg)
+    il, jl = np.tril_indices(params.n_agents, -1)
+    return value, cosine_gram_backward(d_rho, unit, norms)[:, il, jl].ravel()
+
+
+def reference_fit(params, dataset, config):
+    """``config.max_iters`` Adam steps that neither fail nor converge:
+    the trace and the clipped correlations of the last iterate."""
+    x = params.vector()
+    m = np.zeros_like(x)
+    v = np.zeros_like(x)
+    trace = []
+    for _ in range(config.max_iters):
+        value, grad = reference_value_and_grad(params.with_vector(x), dataset, config.delta_reg)
+        trace.append(value)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1 ** len(trace))
+        v_hat = v / (1.0 - ADAM_BETA2 ** len(trace))
+        x = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    last = params.with_vector(x)
+    if isinstance(last, RelevanceParams):
+        rho, _ = relevance_forward_cached(dataset.latents(last.head.feature_dim), last.head)
+    else:
+        rho, _, _ = reference_unit_row_forward(last)
+    rho = np.clip(rho, -1.0, 1.0)
+    rho = (rho + rho.transpose(0, 2, 1)) / 2.0
+    diagonal = np.arange(rho.shape[-1])
+    rho[:, diagonal, diagonal] = 1.0
+    return np.asarray(trace), rho
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+REFERENCE_SIZES = [
+    (t_fut, n, curvature) for t_fut in (1, 12) for n in (1, 2, 3, 8, 64) for curvature in (0.0, 0.3)
+]
+
+
+def reference_params(parameterization, t_fut, n):
+    if parameterization == "direct-rho":
+        raw = np.random.default_rng(n + t_fut).normal(scale=0.3, size=(t_fut, pair_count(n)))
+        return UnitRowRhoParams(raw, n)
+    return RelevanceParams.initialize(8, seed=n)
+
+
+class TestBitIdenticalToReference:
+    """The in-place objective and Adam step give the reference copies'
+    bytes: value and gradient at one point, and a 60-iteration fit."""
+
+    @pytest.mark.parametrize("t_fut, n, curvature", REFERENCE_SIZES)
+    @pytest.mark.parametrize("parameterization", PARAMETERIZATIONS)
+    def test_value_and_gradient(self, t_fut, n, curvature, parameterization):
+        _, dataset = small_dataset(n_futures=16, n_agents=n, curvature=curvature, t_fut=t_fut)
+        params = reference_params(parameterization, t_fut, n)
+        value, grad = params.value_and_grad(dataset, 1e-4)
+        want_value, want_grad = reference_value_and_grad(params, dataset, 1e-4)
+        assert_same_bytes(value, want_value)
+        assert_same_bytes(grad, want_grad)
+        assert_same_bytes(params.value(dataset, 1e-4), want_value)
+
+    @pytest.mark.parametrize("t_fut, n, curvature", REFERENCE_SIZES)
+    @pytest.mark.parametrize("parameterization", PARAMETERIZATIONS)
+    def test_sixty_iteration_fit(self, t_fut, n, curvature, parameterization):
+        _, dataset = small_dataset(n_futures=16, n_agents=n, curvature=curvature, t_fut=t_fut)
+        config = FitConfig(parameterization=parameterization, max_iters=60, convergence_tol=0.0)
+        report = fit_parameters(config, dataset)
+        assert (report.stop_reason, report.iterations_run) == ("max_iters", 60)
+        trace, rho = reference_fit(make_params(config, dataset), dataset, config)
+        assert_same_bytes(report.nll_trace, trace)
+        assert_same_bytes(report.recovered_rho, rho)
+
+
+class TestNoAliasing:
+    """Nothing an objective call returns, and no Adam buffer, is shared
+    with a later call or with the iterate a failed fit reports."""
+
+    @pytest.mark.parametrize("parameterization", PARAMETERIZATIONS)
+    def test_mutated_results_leave_the_next_call_unchanged(self, parameterization):
+        _, dataset = small_dataset()
+        params = reference_params(parameterization, dataset.t_fut, dataset.n_agents)
+        value, grad = params.value_and_grad(dataset, 1e-4)
+        rho = params.rho_matrices(dataset)
+        kept_grad, kept_rho = grad.copy(), rho.copy()
+        grad[...] = np.nan
+        rho[...] = np.nan
+        again_value, again_grad = params.value_and_grad(dataset, 1e-4)
+        assert again_value == value
+        assert_same_bytes(again_grad, kept_grad)
+        assert_same_bytes(params.rho_matrices(dataset), kept_rho)
+
+    @pytest.mark.parametrize(
+        "parameterization, owner",
+        [("direct-rho", DirectRhoParams), ("relevance-head", RelevanceParams)],
+    )
+    def test_failure_at_iteration_k_reports_iterate_k_minus_one(
+        self, monkeypatch, parameterization, owner
+    ):
+        _, dataset = small_dataset(seed=20, n_futures=100)
+        k = 5
+        # a fit capped at k - 1 iterations ends on iterate k - 1, unevaluated
+        capped = FitConfig(parameterization=parameterization, max_iters=k - 1)
+        before = fit_parameters(capped, dataset)
+        value_and_grad = owner.value_and_grad
+        calls = []
+
+        def failing_at_iteration_k(params, data, delta_reg):
+            calls.append(delta_reg)
+            if len(calls) == k + 1:
+                raise FloatingPointError("injected")
+            return value_and_grad(params, data, delta_reg)
+
+        monkeypatch.setattr(owner, "value_and_grad", failing_at_iteration_k)
+        report = fit_parameters(FitConfig(parameterization=parameterization), dataset)
+        assert report.failure_reason == f"non-finite objective at iteration {k}: injected"
+        assert report.iterations_run == k
+        assert_same_bytes(report.nll_trace[: k - 1], before.nll_trace)
+        assert_same_bytes(report.recovered_rho, before.recovered_rho)
 
 
 class TestSolveTriangular:

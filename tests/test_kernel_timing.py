@@ -24,6 +24,8 @@ def test_prints_environment_and_one_row_per_timed_call():
         ["FitDataset", "2", "2", "2"],
         ["UnitRowRhoParams", "2", "2", "2"],
         ["RelevanceParams", "2", "2", "2"],
+        ["fit_parameters/direct-rho", "2", "2", "2"],
+        ["fit_parameters/relevance-head", "2", "2", "2"],
     ]
     assert all(0.0 < float(row[4]) <= float(row[5]) for row in rows)
     assert all(float(row[6]) > 0.0 for row in rows)

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from jointmotion import DegenerateFeatureError, RelevanceHead, min_eigenvalue
 from jointmotion.fit import finite_difference_gradient, relative_gradient_errors
-from jointmotion.relevance import cosine_gram, relevance_backward, relevance_forward_cached
+from jointmotion.relevance import (
+    cosine_gram,
+    cosine_gram_backward,
+    relevance_backward,
+    relevance_forward_cached,
+)
 
 
 def transformed(features, head):
@@ -19,6 +24,82 @@ def transformed(features, head):
 def cosine_rho(features):
     rho, _, _ = cosine_gram(np.asarray(features, dtype=np.float64))
     return rho
+
+
+# Reference copies of the relevance kernels as first written, out of place
+# and through numpy's wrappers; the library's in-place versions must give
+# the same bytes.
+
+
+def reference_cosine_gram(features):
+    norms = np.linalg.norm(features, axis=-1)
+    zero = np.argwhere(norms == 0.0)
+    if zero.size:
+        raise DegenerateFeatureError(f"feature row {zero[0, -1]} has zero norm")
+    unit = features / norms[..., None]
+    rho = unit @ unit.mT
+    diagonal = np.arange(rho.shape[-1])
+    rho[..., diagonal, diagonal] = 1.0
+    return rho, norms, unit
+
+
+def reference_cosine_gram_backward(d_rho, unit, norms):
+    d_rho = np.array(d_rho, dtype=np.float64)
+    diagonal = np.arange(d_rho.shape[-1])
+    d_rho[..., diagonal, diagonal] = 0.0
+    d_unit = (d_rho + d_rho.mT) @ unit
+    return (d_unit - np.sum(d_unit * unit, axis=-1, keepdims=True) * unit) / norms[..., None]
+
+
+def reference_forward(features, head):
+    d = head.feature_dim
+    q = features @ head.w_query
+    k = features @ head.w_key
+    v = features @ head.w_value
+    scores = (q @ k.mT) / np.sqrt(d)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted)
+    attn = weights / weights.sum(axis=-1, keepdims=True)
+    mixed = attn @ v
+    hidden = np.tanh(mixed @ head.w_hidden + head.b_hidden)
+    out = hidden @ head.w_out + head.b_out
+    rho, norms, unit = reference_cosine_gram(out)
+    cache = dict(features=features, q=q, k=k, v=v, attn=attn, mixed=mixed, hidden=hidden,
+                 out=out, norms=norms, unit=unit)
+    return rho, cache
+
+
+def reference_backward(cache, d_rho, head):
+    features = cache["features"]
+    d = features.shape[-1]
+    d_out = reference_cosine_gram_backward(d_rho, cache["unit"], cache["norms"])
+    hidden = cache["hidden"]
+    d_w_out = hidden.mT @ d_out
+    d_b_out = d_out.sum(axis=-2)
+    d_hidden = d_out @ head.w_out.T
+    d_pre = d_hidden * (1.0 - hidden * hidden)
+    d_w_hidden = cache["mixed"].mT @ d_pre
+    d_b_hidden = d_pre.sum(axis=-2)
+    d_mixed = d_pre @ head.w_hidden.T
+    attn = cache["attn"]
+    d_attn = d_mixed @ cache["v"].mT
+    d_v = attn.mT @ d_mixed
+    d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
+    scale = 1.0 / np.sqrt(d)
+    d_q = d_scores @ cache["k"] * scale
+    d_k = d_scores.mT @ cache["q"] * scale
+    grads = (features.mT @ d_q, features.mT @ d_k, features.mT @ d_v,
+             d_w_hidden, d_b_hidden, d_w_out, d_b_out)
+    if features.ndim == 2:
+        return np.concatenate([g.ravel() for g in grads])
+    steps = np.concatenate([g.reshape(len(g), -1) for g in grads], axis=1)
+    return np.add.reduce(steps, axis=0, initial=0.0)
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestHeadParameters:
@@ -109,6 +190,19 @@ class TestCosineRelevance:
         with pytest.raises(DegenerateFeatureError):
             cosine_rho([[1.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("zero_rows, named", [([(2, 1)], 1), ([(1, 3), (2, 0)], 3)])
+    def test_zero_row_in_a_later_step_is_named_by_its_row(self, zero_rows, named):
+        # the first zero row in step-major order, by its index within its step
+        features = np.random.default_rng(8).standard_normal((3, 4, 2))
+        for step, row in zero_rows:
+            features[step, row] = 0.0
+        with pytest.raises(DegenerateFeatureError) as reference:
+            reference_cosine_gram(features)
+        message = f"feature row {named} has zero norm"
+        assert str(reference.value) == message
+        with pytest.raises(DegenerateFeatureError, match=f"^{message}$"):
+            cosine_gram(features)
+
     def test_output_is_valid_correlation_matrix(self):
         # what CorrelationMatrix checks; unclipped, |rho| may pass 1 by rounding
         rng = np.random.default_rng(3)
@@ -189,3 +283,44 @@ class TestStackedSteps:
         other_diagonal = d_rho.copy()
         other_diagonal[:, diagonal, diagonal] = rng.standard_normal((t, n)) * 1e3
         assert np.array_equal(relevance_backward(cache, other_diagonal, head), stacked)
+
+
+class TestBitIdenticalToReference:
+    """The in-place kernels give the reference copies' bytes, at the fits'
+    sizes and at widths and scales the fits do not reach."""
+
+    SIZES = [(t, n) for t in (1, 12) for n in (1, 2, 3, 8, 64)]
+
+    @pytest.mark.parametrize("t, n", SIZES)
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_cosine_gram_and_its_backward(self, t, n, d):
+        rng = np.random.default_rng(100 * t + n + d)
+        for features in (rng.standard_normal((t, n, d)), rng.standard_normal((n, d)) * 1e150):
+            rho, norms, unit = cosine_gram(features)
+            want = reference_cosine_gram(features)
+            for got_part, want_part in zip((rho, norms, unit), want):
+                assert_same_bytes(got_part, want_part)
+            d_rho = rng.standard_normal(rho.shape)
+            kept = d_rho.copy()
+            # a Fortran-ordered gradient too: the copy changes its layout
+            for given in (d_rho, np.asfortranarray(d_rho)):
+                got = cosine_gram_backward(given, unit, norms)
+                assert_same_bytes(got, reference_cosine_gram_backward(given, unit, norms))
+            assert_same_bytes(d_rho, kept)  # the caller's array is left alone
+
+    @pytest.mark.parametrize("t, n", SIZES)
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_head_forward_and_backward(self, t, n, d):
+        rng = np.random.default_rng(1000 * t + n + d)
+        head = RelevanceHead.initialize(d, seed=n)
+        for features in (rng.standard_normal((t, n, d)), rng.standard_normal((n, d)) * 30.0):
+            rho, cache = relevance_forward_cached(features, head)
+            want_rho, want_cache = reference_forward(features, head)
+            assert_same_bytes(rho, want_rho)
+            assert sorted(cache) == sorted(want_cache)
+            for name in cache:
+                assert_same_bytes(cache[name], want_cache[name])
+            d_rho = rng.standard_normal(rho.shape)
+            assert_same_bytes(
+                relevance_backward(cache, d_rho, head), reference_backward(want_cache, d_rho, head)
+            )

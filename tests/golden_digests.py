@@ -74,6 +74,7 @@ T_FUT = 12
 FAMILIES = (("follow", 1), ("mixed", 3), ("yield", 8), ("mixed", 64))
 CURVATURES = (0.0, 0.05)
 N_FUTURES = 32
+SINGLE_STEP_FUTURES = 10_000
 FIT_ITERS = 15
 DELTAS = (1e-4, 1e-2)
 AXIS_HEADINGS = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 4, -np.pi / 4)
@@ -138,7 +139,7 @@ def _family_digests(out: dict) -> None:
                 futures=futures,
             )
             out[f"dataset/{key}"] = digest(
-                dataset.residuals, dataset.scatter, dataset.lateral_ss, dataset.latents(8)
+                dataset.scatter, dataset.lateral_ss, dataset.latents(8)
             )
             out[f"marginals/{key}"] = digest(
                 *[
@@ -153,19 +154,33 @@ def _family_digests(out: dict) -> None:
             parameterizations = ("direct-rho",) if n == 64 else ("direct-rho", "relevance-head")
             for parameterization in parameterizations:
                 for delta in DELTAS:
-                    report = fit_parameters(
-                        FitConfig(
-                            max_iters=FIT_ITERS,
-                            delta_reg=delta,
-                            parameterization=parameterization,
-                        ),
-                        dataset,
+                    out[f"fit/{key}/{parameterization}/d{delta}"] = _fit_digest(
+                        dataset, parameterization, delta
                     )
-                    out[f"fit/{key}/{parameterization}/d{delta}"] = digest(
-                        report.nll_trace,
-                        report.recovered_rho,
-                        [report.iterations_run, report.delta_reg_used],
-                    ) + str(report.failure_reason)
+
+
+def _fit_digest(dataset, parameterization: str, delta: float) -> str:
+    """A short fit's trace, correlations, iterations and outcome."""
+    report = fit_parameters(
+        FitConfig(max_iters=FIT_ITERS, delta_reg=delta, parameterization=parameterization),
+        dataset,
+    )
+    return digest(
+        report.nll_trace, report.recovered_rho, [report.iterations_run, report.delta_reg_used]
+    ) + str(report.failure_reason)
+
+
+def _single_step_digests(out: dict) -> None:
+    """A family at T=1 with more futures than the 8,192 up to which its
+    row-by-row scatter and whole lateral sum match the full product."""
+    key = f"mixed-n3-t1-k{SINGLE_STEP_FUTURES}"
+    config = ScenarioConfig(pattern="mixed", n_agents=3, t_fut=1, curvature=0.05, seed=11)
+    dataset = FitDataset.from_config(config, SINGLE_STEP_FUTURES)
+    out[f"dataset/{key}"] = digest(dataset.scatter, dataset.lateral_ss)
+    for parameterization in ("direct-rho", "relevance-head"):
+        out[f"fit/{key}/{parameterization}/d{DELTAS[0]}"] = _fit_digest(
+            dataset, parameterization, DELTAS[0]
+        )
 
 
 def _params_digests(out: dict) -> None:
@@ -345,6 +360,7 @@ def _yaw_error_digests(out: dict) -> None:
 def compute_digests() -> dict:
     out: dict = {}
     _family_digests(out)
+    _single_step_digests(out)
     _params_digests(out)
     _heading_digests(out)
     _yaw_error_digests(out)

@@ -168,8 +168,8 @@ def _cmd_fit(args) -> int:
         args.fit_config, FitConfig, "fit config", seed=args.seed, delta_reg=args.delta_reg
     )
     with _reading("dataset"):
-        scenes, truth = _load_dataset_dir(dataset_dir)
-        dataset = FitDataset.from_scenes(scenes, truth)
+        # no name holds the scenes, so they are freed before the fit
+        dataset = FitDataset.from_scenes(*_load_dataset_dir(dataset_dir))
 
     report = fit_parameters(config, dataset)
 

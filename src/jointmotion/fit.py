@@ -47,7 +47,7 @@ from .relevance import (
     relevance_backward,
     relevance_forward_cached,
 )
-from .scene import Scene, check_numbers, checked_array, json_fields
+from .scene import Scene, check_numbers, checked_array, json_fields, real_array
 from .synthetic import SceneTruth, ScenarioConfig, sample_future_positions
 
 ADAM_BETA1 = 0.9
@@ -152,25 +152,30 @@ class FitDataset:
     """Observed futures of one scene family, with its fixed ground truth.
 
     All futures share the current positions, per-step headings and
-    increment parameters; only the realized futures differ. Sufficient
-    statistics are precomputed so one objective evaluation costs
-    O(T N^3) regardless of the number of futures: ``residuals`` (K, T, N)
-    are the futures' offsets from the marginal means along each agent's
-    heading, ``scatter`` (T, N, N) their mean outer product, and
-    ``lateral_ss`` (T,) the mean sum of squared offsets across the
-    headings. Each entry of ``scatter`` and ``lateral_ss`` is a sum in
-    order over the futures, divided by K; the scatter's lower triangle is
-    summed one agent's row at a time and mirrored into the upper one, so
-    each pair is summed once and the result is bit-identical to the full
-    product, except at T=1 beyond about 8,000 futures.
+    increment parameters; only the realized futures differ. The fit reads
+    the futures only through sufficient statistics, precomputed so one
+    objective evaluation costs O(T N^3) regardless of the number of
+    futures: ``scatter`` (T, N, N) is the mean outer product of the
+    along-heading residuals (each future's offsets from the marginal means
+    along each agent's heading), and ``lateral_ss`` (T,) the mean sum of
+    squared offsets across the headings. Each entry of ``scatter`` and
+    ``lateral_ss`` is a sum in order over the futures, divided by K; the
+    scatter's lower triangle is summed one agent's row at a time and
+    mirrored into the upper one, so each pair is summed once and the
+    result is bit-identical to the full product, except at T=1 beyond
+    about 8,000 futures.
 
     The futures are reduced in consecutive chunks of about 1 MiB of
     offsets (85 futures at N=64, T=12), so the build holds no (K, T, N, 2)
-    offsets or (K, T, N) lateral offsets: each chunk writes its rows of
-    ``residuals`` and each future's per-step sum of squared lateral
-    offsets, which are then summed over futures in order. Its peak is the
-    arrays it keeps plus one chunk. At T=1, where einsum sums all K N
-    squared lateral offsets in one pass, those offsets are kept whole.
+    offsets or (K, T, N) lateral offsets: each chunk writes its rows of the
+    (K, T, N) residuals, which only the build holds, and each future's
+    per-step sum of squared lateral offsets, which are then summed over
+    futures in order. Its peak is the residuals and the arrays it keeps,
+    plus one chunk. At T=1, where einsum sums all K N squared lateral
+    offsets in one pass, those offsets are kept whole.
+
+    Every array the dataset exposes is read-only; ``futures`` is a
+    read-only view of the caller's array, not a copy.
 
     :meth:`latents` draws a relevance head's inputs at its width (``feature_dim``).
     """
@@ -192,8 +197,10 @@ class FitDataset:
         self.mu_delta = checked_array(mu_delta, "mu_delta", (t_fut, n))
         self.sigma_delta = checked_array(sigma_delta, "sigma_delta", (t_fut, n))
         # not copied: K futures can outweigh everything else the fit holds;
-        # the residual statistics below are checked for finiteness instead
-        self.futures = np.asarray(futures, dtype=np.float64)
+        # the residual statistics below are checked for finiteness instead.
+        # A read-only view, so the caller's array stays writable
+        self.futures = np.asarray(real_array(futures, "futures"), dtype=np.float64).view()
+        self.futures.setflags(write=False)
         if self.futures.ndim != 4 or self.futures.shape[1:] != (n, t_fut, 2):
             raise ValueError(
                 f"futures: expected (K, {n}, {t_fut}, 2), got {self.futures.shape}"
@@ -219,7 +226,7 @@ class FitDataset:
         along = heading_vectors(self.theta)
         across = along[..., ::-1] * [-1.0, 1.0]  # the lateral unit vectors [-sin, cos]
         k = self.n_futures
-        self.residuals = np.empty((k, t_fut, n))
+        residuals = np.empty((k, t_fut, n))
         # einsum sums the squared lateral offsets one future's row at a time,
         # in order over futures, except at T=1, where it sums all K N of them
         # in one pass: there the lateral offsets are kept whole, for its bits
@@ -235,7 +242,7 @@ class FitDataset:
             # view buffers twice as much, and takes longer
             here[...] = self.futures[start:stop].transpose(0, 2, 1, 3)
             here -= means
-            np.einsum("ktnc,tnc->ktn", here, along, out=self.residuals[start:stop])
+            np.einsum("ktnc,tnc->ktn", here, along, out=residuals[start:stop])
             if whole:
                 np.einsum("ktnc,tnc->ktn", here, across, out=lateral[start:stop])
             else:
@@ -244,7 +251,7 @@ class FitDataset:
         # each row's lower part once, mirrored: the scatter is symmetric
         self.scatter = np.empty((t_fut, n, n))
         for a in range(n):
-            row = np.einsum("kt,ktb->tb", self.residuals[:, :, a], self.residuals[:, :, : a + 1])
+            row = np.einsum("kt,ktb->tb", residuals[:, :, a], residuals[:, :, : a + 1])
             self.scatter[:, a, : a + 1] = row
             self.scatter[:, : a + 1, a] = row
         self.scatter /= self.n_futures
@@ -259,6 +266,8 @@ class FitDataset:
             raise ValueError(
                 "residual statistics are not finite: a future overflows its offset from the mean"
             )
+        self.scatter.setflags(write=False)
+        self.lateral_ss.setflags(write=False)
 
         self._latents = {}  # width -> latents, drawn on first use
 

@@ -42,6 +42,22 @@ class SceneArrayError(SceneShapeError, NonFiniteError):
     for both faults and callers may catch either."""
 
 
+def real_array(value, name: str, error: type = ValueError) -> np.ndarray:
+    """``value`` as an array (``value`` itself if it is one), checked to
+    hold entries that convert to float64 as numbers: the one dtype rule
+    for every array the library takes.
+
+    Raises:
+        error: ``value`` holds complex, datetime, timedelta or string
+            entries (a float64 cast would drop the imaginary part, count
+            days or parse text).
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind in "cmMSU":
+        raise error(f"{name} must hold real numbers, not {arr.dtype}")
+    return arr
+
+
 def checked_array(value, name: str, shape: tuple, error: type = ValueError) -> np.ndarray:
     """A read-only float64 copy of ``value``: how every value type stores
     its arrays. The copy leaves the caller's array writable and unchanged.
@@ -50,15 +66,10 @@ def checked_array(value, name: str, shape: tuple, error: type = ValueError) -> n
     allowed.
 
     Raises:
-        error: ``value`` holds complex, datetime, timedelta or string
-            entries (a float64 cast would drop the imaginary part, count
-            days or parse text), the shape differs, or an entry is NaN or
-            infinite.
+        error: ``value`` fails :func:`real_array`'s dtype rule, the shape
+            differs, or an entry is NaN or infinite.
     """
-    arr = np.asarray(value)
-    if arr.dtype.kind in "cmMSU":
-        raise error(f"{name} must hold real numbers, not {arr.dtype}")
-    arr = np.array(arr, dtype=np.float64)
+    arr = np.array(real_array(value, name, error), dtype=np.float64)
     if arr.shape != shape and (
         arr.ndim != len(shape)
         or any(want is not None and got != want for got, want in zip(arr.shape, shape))
@@ -295,9 +306,9 @@ def load_json(path: PathLike, decode: Callable):
     gain the file name, so a bad file among many can be found.
 
     Raises:
-        SceneFormatError: the file is not valid JSON, holds a ``NaN``,
-            ``Infinity`` or ``-Infinity`` token, or nests deeper than the
-            decoder's recursion limit.
+        SceneFormatError: the file is not UTF-8 or not valid JSON, holds a
+            ``NaN``, ``Infinity`` or ``-Infinity`` token, or nests deeper
+            than the decoder's recursion limit.
         OSError: the file cannot be read.
     """
 
@@ -307,7 +318,7 @@ def load_json(path: PathLike, decode: Callable):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle, parse_constant=reject)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SceneFormatError(f"{path}: {exc}") from None
     try:
         return decode(payload)

@@ -10,11 +10,14 @@ alternating from pair to pair (PARENT first in the first pair). For the
 end-to-end metrics that ``BENCHMARK.json`` (of CHANGE) declares, the
 script prints every pair's values as it finishes, then each side's median
 and quartiles, how many pairs CHANGE won (ties count for neither side),
-and whether the gap between the medians exceeds the distance between
-PARENT's quartiles.
+whether the gap between the medians exceeds the distance between
+PARENT's quartiles, and a verdict against the metric's ``bound``:
+``worse``, ``unresolved`` or ``within bound`` (see :func:`verdict`). The
+last line gives each side's total failed and attempted operations.
 
-Standard library only, and not part of tier 1 (like ``golden_digests.py``):
-one pair at ``--seconds 30`` takes about a minute and a half.
+Standard library only, and its runs are not part of tier 1 (like
+``golden_digests.py``): one pair at ``--seconds 30`` takes about a minute
+and a half. ``tests/test_ab_pairs.py`` checks :func:`summary`.
 """
 
 from __future__ import annotations
@@ -68,9 +71,26 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(lower, bound, parent, change):
+    """``worse`` when the change's median is worse than the parent's by
+    more than ``bound`` (in the metric's unit), else ``unresolved`` when the
+    parent's quartile spread is wider than ``bound`` and not every change
+    run beats every parent run, else ``within bound``."""
+    p1, p2, p3 = quartiles(parent)
+    change_median = quartiles(change)[1]
+    if (change_median - p2 if lower else p2 - change_median) > bound:
+        return "worse"
+    clear = max(change) < min(parent) if lower else min(change) > max(parent)
+    if p3 - p1 > bound and not clear:
+        return "unresolved"
+    return "within bound"
+
+
 def summary(declared, runs, pairs):
-    """One line per metric: each side's quartiles, the change's wins and
-    whether the medians differ by more than the parent's quartile spread."""
+    """One line per metric: each side's quartiles, the change's wins,
+    whether the medians differ by more than the parent's quartile spread,
+    and the verdict against the metric's bound; then each side's failed and
+    attempted operations."""
     lines = []
     for entry in declared:
         name, unit = entry["name"], entry["unit"]
@@ -88,8 +108,18 @@ def summary(declared, runs, pairs):
             f"change median {c2:.4g} [q1 {c1:.4g}, q3 {c3:.4g}]; "
             f"change wins {wins} of {pairs}; "
             f"median gap {abs(c2 - p2):.4g} vs parent IQR {p3 - p1:.4g}"
-            f" ({'exceeds' if abs(c2 - p2) > p3 - p1 else 'within'})"
+            f" ({'exceeds' if abs(c2 - p2) > p3 - p1 else 'within'}); "
+            f"bound {entry['bound']:.4g}: "
+            f"{verdict(lower, entry['bound'], sides['parent'], sides['change'])}"
         )
+    lines.append(
+        "operations failed: "
+        + "; ".join(
+            f"{side} {sum(run['failed'] for run in runs[side])}"
+            f"/{sum(run['attempted'] for run in runs[side])}"
+            for side in ("parent", "change")
+        )
+    )
     return lines
 
 

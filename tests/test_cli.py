@@ -993,6 +993,39 @@ class TestDecodeErrorsNameTheirFile:
         assert err.count(str(path)) == 1, err
 
     @pytest.mark.parametrize(
+        "target, what",
+        [
+            ("scenario.json", "scenario config"),
+            ("scene_001.json", "dataset"),
+            ("scene_001.truth.json", "dataset"),
+            ("fit.json", "fit config"),
+            ("pred.json", "evaluation input"),
+            ("gt.json", "evaluation input"),
+        ],
+    )
+    def test_non_utf8_file(self, tmp_path, capsys, target, what):
+        dataset = make_dataset_dir(tmp_path, n_scenes=3)
+        write_json(tmp_path / "scenario.json", scenario_payload())
+        write_json(tmp_path / "fit.json", {"max_iters": 5})
+        save_modes(ModeSet(modes=np.zeros((2, 2, 3, 2))), tmp_path / "pred.json")
+        shutil.copy(dataset / "scene_000.json", tmp_path / "gt.json")
+        path = (dataset if target.startswith("scene_") else tmp_path) / target
+        path.write_bytes(b"\xff" + path.read_bytes())
+        out = ["--out", str(tmp_path / "out")]
+        if target == "scenario.json":
+            argv = ["generate", str(path)] + out
+        elif target in ("pred.json", "gt.json"):
+            argv = ["eval", str(tmp_path / "pred.json"), str(tmp_path / "gt.json")] + out
+        else:
+            argv = ["fit", str(dataset), str(tmp_path / "fit.json")] + out
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid {what}: {path}: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
         "payload", [{"n_agents": 2}, {"pattern": "follow", "n_agents": 2, "colour": 1}, "x"]
     )
     def test_generate(self, tmp_path, capsys, payload):

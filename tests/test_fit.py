@@ -193,7 +193,7 @@ class TestObjective:
                 + np.trace(np.linalg.inv(evaluated) @ joint.cov)
                 + 2 * dataset.n_agents * LOG_TWO_PI
             )
-        per_scene = dataset.residuals.shape[0]
+        per_scene = dataset.n_futures
         spread = np.std(
             [
                 sum(
@@ -862,22 +862,29 @@ class TestFitConfig:
             FitConfig.from_dict({"moomentum": 0.9})
 
 
-def assert_statistics_bit_equal_to_full_einsums(
-    dataset, names=("residuals", "scatter", "lateral_ss")
-):
+def assert_statistics_bit_equal_to_full_einsums(dataset, row_by_row=False):
     """The residual statistics are byte-equal to the full-product
-    reference, which sums every scatter entry (both triangles) on its own."""
-    k = dataset.n_futures
+    reference, which sums every scatter entry (both triangles) on its own.
+    With ``row_by_row`` the reference scatter is the residuals' lower
+    triangle summed one agent's row at a time, as the library sums it."""
+    k, n = dataset.n_futures, dataset.n_agents
     means = np.stack([np.stack([m.mu_x, m.mu_y], axis=-1) for m in dataset.marginals])
     offsets = dataset.futures.transpose(0, 2, 1, 3) - means[None]
     along = heading_vectors(dataset.theta)
     residuals = np.einsum("ktnc,tnc->ktn", offsets, along)
     lateral = np.einsum("ktnc,tnc->ktn", offsets, along[..., ::-1] * [-1.0, 1.0])
-    scatter = np.einsum("kta,ktb->tab", residuals, residuals) / k
+    if row_by_row:
+        scatter = np.empty((dataset.t_fut, n, n))
+        for a in range(n):
+            row = np.einsum("kt,ktb->tb", residuals[:, :, a], residuals[:, :, : a + 1])
+            scatter[:, a, : a + 1] = row
+            scatter[:, : a + 1, a] = row
+        scatter /= k
+    else:
+        scatter = np.einsum("kta,ktb->tab", residuals, residuals) / k
     lateral_ss = np.einsum("ktn,ktn->t", lateral, lateral) / k
-    reference = {"residuals": residuals, "scatter": scatter, "lateral_ss": lateral_ss}
-    for name in names:
-        got, want = getattr(dataset, name), reference[name]
+    for name, want in (("scatter", scatter), ("lateral_ss", lateral_ss)):
+        got = getattr(dataset, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
 
@@ -913,10 +920,10 @@ class TestFitDataset:
     )
     def test_single_step_statistics_bit_equal_to_full_einsums(self, n_agents, n_futures):
         # at T=1 einsum sums all K N squared lateral offsets in one pass; the
-        # scatter is left out, since there its row-by-row sums can differ
-        # from the full product's at large K
+        # scatter is checked against its row-by-row sums, since there they
+        # can differ from the full product's at large K
         _, dataset = small_dataset(n_futures=n_futures, n_agents=n_agents, t_fut=1)
-        assert_statistics_bit_equal_to_full_einsums(dataset, ("residuals", "lateral_ss"))
+        assert_statistics_bit_equal_to_full_einsums(dataset, row_by_row=True)
 
     def test_build_peak_is_kept_arrays_plus_one_chunk(self):
         config = ScenarioConfig(pattern="mixed", n_agents=64, t_fut=12, target_rho=0.5)
@@ -927,9 +934,44 @@ class TestFitDataset:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = dataset.residuals.nbytes + dataset.scatter.nbytes + dataset.lateral_ss.nbytes
+        residuals = 1024 * 12 * 64 * 8  # the build's local (K, T, N) residuals
+        kept = residuals + dataset.scatter.nbytes + dataset.lateral_ss.nbytes
         # one chunk: about 1 MiB of offsets and 0.5 MiB of lateral offsets
         assert peak - kept <= 2 * 2**20
+
+    def test_keeps_its_statistics_not_its_residuals(self):
+        config = ScenarioConfig(pattern="mixed", n_agents=64, t_fut=12, target_rho=0.5, seed=7)
+        futures, yaws, current, truth = sample_future_positions(config, 1024)
+        tracemalloc.start()
+        try:
+            dataset = FitDataset(current, yaws[0].T, truth.mu_delta, truth.sigma_delta, futures)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # scatter (384 KiB), lateral_ss, marginals and the small arrays;
+        # the (K, T, N) residuals would add 6 MiB
+        assert kept < 2**20
+        assert not hasattr(dataset, "residuals")
+
+    def test_exposes_only_read_only_arrays(self):
+        futures, yaws, current, truth = sample_future_positions(
+            ScenarioConfig(pattern="mixed", n_agents=3, t_fut=4, seed=8), 5
+        )
+        dataset = FitDataset(current, yaws[0].T, truth.mu_delta, truth.sigma_delta, futures)
+        arrays = {
+            name: getattr(dataset, name)
+            for name in (
+                "current", "theta", "mu_delta", "sigma_delta", "futures", "scatter", "lateral_ss"
+            )
+        }
+        arrays["latents"] = dataset.latents(8)
+        for t, m in enumerate(dataset.marginals):
+            for field in ("mu_x", "mu_y", "sigma_x", "sigma_y", "rho_xy"):
+                arrays[f"marginals[{t}].{field}"] = getattr(m, field)
+        assert [name for name, arr in arrays.items() if arr.flags.writeable] == []
+        # the futures are a view of the caller's array, which stays writable
+        assert np.shares_memory(dataset.futures, futures)
+        assert futures.flags.writeable
 
     @pytest.mark.parametrize("n_agents", [1, 2, 3, 64])
     def test_statistics_of_zero_noise_futures_bit_equal_to_full_einsums(self, n_agents):

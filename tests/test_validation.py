@@ -54,11 +54,12 @@ def joint2():
     return JointGaussian(mean=np.zeros(2), cov=EYE2)
 
 
-def dataset(n_agents=2, futures_shape=None, t_fut=1, first=None):
-    """A family of two futures, or one with the given futures shape;
-    ``first``, if given, replaces every coordinate of the first future."""
+def dataset(n_agents=2, futures_shape=None, t_fut=1, first=None, dtype=np.float64):
+    """A family of two futures, or one with the given futures shape, as
+    ``dtype``; ``first``, if given, replaces every coordinate of the first
+    future."""
     shape = futures_shape or (2, n_agents, t_fut, 2)
-    futures = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    futures = np.arange(np.prod(shape), dtype=np.float64).reshape(shape).astype(dtype)
     if first is not None:
         futures[0] = first
     return FitDataset(
@@ -97,6 +98,14 @@ CHECKS = {
     ),
     "FitDataset-no-futures": (
         lambda: dataset(futures_shape=(0, 2, 1, 2)), ValueError, "dataset needs at least one future"
+    ),
+    "FitDataset-complex-futures": (
+        lambda: dataset(dtype=np.complex128),
+        ValueError,
+        "futures must hold real numbers, not complex128",
+    ),
+    "FitDataset-string-futures": (
+        lambda: dataset(dtype="U4"), ValueError, "futures must hold real numbers, not <U4"
     ),
     "FitDataset-non-finite-futures": (
         lambda: dataset(first=np.nan), ValueError, "futures contain non-finite values"

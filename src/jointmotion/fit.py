@@ -175,7 +175,7 @@ class FitDataset:
     offsets in one pass, those offsets are kept whole.
 
     Every array the dataset exposes is read-only; ``futures`` is a
-    read-only view of the caller's array, not a copy.
+    read-only view of the caller's float64 array, not a copy.
 
     :meth:`latents` draws a relevance head's inputs at its width (``feature_dim``).
     """

@@ -75,6 +75,13 @@ FAMILIES = (("follow", 1), ("mixed", 3), ("yield", 8), ("mixed", 64))
 CURVATURES = (0.0, 0.05)
 N_FUTURES = 32
 SINGLE_STEP_FUTURES = 10_000
+# families sampled in several chunks of walks: (pattern, N, curvature,
+# heading noise, K)
+MULTI_CHUNK_FAMILIES = (
+    ("mixed", 64, 0.0, 0.0, 1_280),
+    ("mixed", 64, 0.0, 0.1, 1_280),
+    ("follow", 3, 0.05, 0.0, 12_000),
+)
 FIT_ITERS = 15
 DELTAS = (1e-4, 1e-2)
 AXIS_HEADINGS = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, np.pi / 4, -np.pi / 4)
@@ -180,6 +187,20 @@ def _single_step_digests(out: dict) -> None:
     for parameterization in ("direct-rho", "relevance-head"):
         out[f"fit/{key}/{parameterization}/d{DELTAS[0]}"] = _fit_digest(
             dataset, parameterization, DELTAS[0]
+        )
+
+
+def _multi_chunk_digests(out: dict) -> None:
+    """Sampled families far larger than one chunk of walks."""
+    for pattern, n, curvature, heading_noise, count in MULTI_CHUNK_FAMILIES:
+        config = ScenarioConfig(
+            pattern=pattern, n_agents=n, t_fut=T_FUT, curvature=curvature,
+            heading_noise=heading_noise, seed=11,
+        )
+        futures, yaws, current, truth = sample_future_positions(config, count)
+        key = f"{pattern}-n{n}-c{curvature}-h{heading_noise}-k{count}"
+        out[f"sample/{key}"] = digest(
+            futures, yaws, current, truth.rho.rho, truth.mu_delta, truth.sigma_delta
         )
 
 
@@ -361,6 +382,7 @@ def compute_digests() -> dict:
     out: dict = {}
     _family_digests(out)
     _single_step_digests(out)
+    _multi_chunk_digests(out)
     _params_digests(out)
     _heading_digests(out)
     _yaw_error_digests(out)

@@ -48,17 +48,13 @@ from .relevance import (
     relevance_forward_cached,
 )
 from .scene import Scene, check_numbers, checked_array, json_fields, real_array
-from .synthetic import SceneTruth, ScenarioConfig, sample_future_positions
+from .synthetic import CHUNK_BYTES, SceneTruth, ScenarioConfig, sample_future_positions
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 PARAMETERIZATIONS = ("direct-rho", "relevance-head")
-
-# bytes of offsets from the means that FitDataset forms at once: 85
-# futures at N=64, T=12
-_CHUNK_BYTES = 1 << 20
 
 
 class StepFactorizationError(NotPositiveDefiniteError):
@@ -231,7 +227,7 @@ class FitDataset:
         # in order over futures, except at T=1, where it sums all K N of them
         # in one pass: there the lateral offsets are kept whole, for its bits
         whole = t_fut == 1
-        chunk = min(k, max(1, _CHUNK_BYTES // means.nbytes))
+        chunk = min(k, max(1, CHUNK_BYTES // means.nbytes))
         offsets = np.empty((chunk, t_fut, n, 2))
         lateral = np.empty((k if whole else chunk, t_fut, n))
         lateral_rows = np.empty((k, t_fut))

@@ -128,8 +128,14 @@ class CholeskyFactor:
 
 
 def tikhonov_regularize(cov: np.ndarray, delta: float) -> np.ndarray:
-    """Return ``cov + delta * I``; off-diagonal entries are untouched."""
+    """Return ``cov + delta * I``; off-diagonal entries are untouched.
+
+    A NaN or infinite ``delta`` raises ``ValueError``: it would reach the
+    off-diagonal entries through ``delta * 0``.
+    """
     cov = _square(cov, ValueError)
+    if not np.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     return cov + delta * np.eye(cov.shape[0])

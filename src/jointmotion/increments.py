@@ -142,7 +142,11 @@ class Marginals:
         return out
 
     def block(self, i: int) -> np.ndarray:
-        """The 2x2 covariance block of agent ``i``."""
+        """The 2x2 covariance block of agent ``i``, for 0 <= i < N; any other
+        index, negative ones included, raises ``IndexError``."""
+        n = self.n_agents
+        if not 0 <= i < n:
+            raise IndexError(f"agent index {i} out of range for {n} agents")
         sx = self.sigma_x[i]
         sy = self.sigma_y[i]
         cross = self.rho_xy[i] * sx * sy
@@ -162,16 +166,18 @@ def _as_correlation(corr: Union[CorrelationMatrix, np.ndarray]) -> CorrelationMa
     return CorrelationMatrix(np.asarray(corr))
 
 
-def heading_vectors(theta) -> np.ndarray:
+def heading_vectors(theta, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Unit heading vectors [cos t, sin t], shape ``theta.shape + (2,)``.
 
     For (N,) headings, ``.reshape(-1)`` is the planar joint's interleaved
     layout [cos t1, sin t1, cos t2, ...], and its sign the agents' sign
     pattern. Written into one buffer, which saves the copy a stack of two
-    arrays makes on every per-step call.
+    arrays makes on every per-step call: ``out`` when given, which must
+    have that shape and not overlap ``theta``.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    out = np.empty(theta.shape + (2,))
+    if out is None:
+        out = np.empty(theta.shape + (2,))
     np.cos(theta, out=out[..., 0])
     np.sin(theta, out=out[..., 1])
     return out

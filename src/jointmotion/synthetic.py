@@ -29,6 +29,11 @@ from .scene import Scene, check_numbers, checked_array, json_array, json_fields
 
 PATTERNS = ("follow", "yield", "independent", "mixed")
 
+# bytes of working memory a chunked pass over futures forms at once: the
+# draws of one chunk of walks here, the offsets of one chunk of futures in
+# the fit's dataset build
+CHUNK_BYTES = 1 << 20
+
 # Sub-streams of the scenario seed (PCG64 seeded with [seed, stream]).
 _STREAM_FAMILY = 0
 _STREAM_FUTURES = 1
@@ -239,45 +244,59 @@ def _walk(
     steps: int,
 ):
     """Integrate ``count`` walks of correlated 1-D increments along
-    evolving headings, all from one ``standard_normal`` draw.
+    evolving headings.
 
-    The draw has shape (count, D, steps, N): D = 1 holds the increments;
-    with heading noise D = 2, and each walk's jitter follows its
-    increments. Returns positions (count, N, steps, 2) and headings
-    (count, N, steps); without heading noise the headings are one
-    read-only (N, steps) block broadcast over the walks, and their cosines
-    and sines are computed once, on that block, not once per walk.
+    Returns positions (count, N, steps, 2) and headings (count, N, steps);
+    without heading noise the headings are one read-only (N, steps) block
+    broadcast over the walks, and their cosines and sines are computed
+    once, on that block, not once per walk.
+
+    The outputs are allocated once and filled in consecutive chunks of
+    walks, about :data:`CHUNK_BYTES` of draws each. A chunk's (c, D,
+    steps, N) standard normals are drawn into its slice of the positions,
+    which they fit and which are written only once the draw is spent: D =
+    1 holds the increments; with heading noise D = 2, and each walk's
+    jitter follows its increments. Consecutive draws from one generator
+    equal one draw of the whole shape, so no walk depends on the chunking.
+    Beside its outputs, sampling holds one chunk's increments, plus its
+    wrapped headings with heading noise.
     """
     n = start.shape[0]
     jittered = config.heading_noise != 0.0
-    z = rng.standard_normal((count, 2 if jittered else 1, steps, n))
-    deltas = z[:, 0] @ factor.T
-    deltas *= config.noise_sigma
-    deltas += config.base_speed
-
-    index = np.arange(first_step_index, first_step_index + steps, dtype=np.float64)
-    headings = base_heading + config.curvature * index[:, None]
+    depth = 2 if jittered else 1
+    headings = base_heading + config.curvature * np.arange(
+        first_step_index, first_step_index + steps, dtype=np.float64
+    )[:, None]
+    positions = np.empty((count, n, steps, 2))
     if jittered:
-        jitter = z[:, 1]
-        jitter *= config.heading_noise
-        headings = np.add(jitter, headings, out=jitter)
-    headings = np.swapaxes(wrap_angle(headings), -1, -2)
-    del z  # free the draw before the position buffer exists
-
-    # Each step's displacement, the start folded into the first, summed
-    # left to right: the additions of a step-by-step walk, in its order.
-    # With heading noise the vectors already have the full shape and are
-    # scaled in place: a separate product would hold a second
-    # (count, N, steps, 2) buffer.
-    vectors = heading_vectors(headings)
-    positions = np.multiply(
-        vectors, deltas.transpose(0, 2, 1)[..., None], out=vectors if jittered else None
-    )
-    positions[:, :, :1] += start[:, None]
-    np.cumsum(positions, axis=2, out=positions)
+        yaws = np.empty((count, n, steps))
+    else:  # one block for every walk, in place of the unwrapped headings
+        headings = np.swapaxes(wrap_angle(headings), -1, -2)
+        vectors = heading_vectors(headings)
+    chunk = max(1, CHUNK_BYTES // max(1, depth * steps * n * 8))
+    for first in range(0, count, chunk):
+        out = positions[first : first + chunk]
+        draw = out.reshape(-1)[: out.size * depth // 2].reshape(len(out), depth, steps, n)
+        rng.standard_normal(out=draw)
+        deltas = draw[:, 0] @ factor.T
+        deltas *= config.noise_sigma
+        deltas += config.base_speed
+        if jittered:
+            jitter = draw[:, 1]
+            jitter *= config.heading_noise
+            np.add(jitter, headings, out=jitter)
+            wrapped = np.swapaxes(wrap_angle(jitter), -1, -2)
+            yaws[first : first + chunk] = wrapped
+            vectors = heading_vectors(wrapped, out=out)
+        del draw  # spent: the positions overwrite it
+        # Each step's displacement, the start folded into the first, summed
+        # left to right: the additions of a step-by-step walk, in its order.
+        np.multiply(vectors, deltas.transpose(0, 2, 1)[..., None], out=out)
+        out[:, :, :1] += start[:, None]
+        np.cumsum(out, axis=2, out=out)
     if not jittered:
-        headings = np.broadcast_to(headings, (count, n, steps))
-    return positions, headings
+        yaws = np.broadcast_to(headings, (count, n, steps))
+    return positions, yaws
 
 
 def _simulate(config: ScenarioConfig, count: int):

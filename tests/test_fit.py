@@ -53,6 +53,7 @@ from jointmotion.relevance import (
     relevance_forward_cached,
 )
 from jointmotion.scene import write_json
+from jointmotion.synthetic import CHUNK_BYTES
 
 LOG_TWO_PI = np.log(2.0 * np.pi)
 
@@ -891,7 +892,7 @@ def assert_statistics_bit_equal_to_full_einsums(dataset, row_by_row=False):
 
 def chunk_futures(n_agents, t_fut):
     """Futures per chunk of the ``FitDataset`` build."""
-    return jointmotion.fit._CHUNK_BYTES // (t_fut * n_agents * 2 * 8)
+    return CHUNK_BYTES // (t_fut * n_agents * 2 * 8)
 
 
 def chunk_crossings(n_agents, t_fut):

@@ -1,5 +1,7 @@
 """Projection, sign reconstruction, joint assembly and route equivalence."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from jointmotion import (
     assemble_joint,
     equivalence_check,
     heading_vectors,
+    marginalize_agent,
     pair_count,
     planar_pair_count,
     project_increments,
@@ -207,6 +210,15 @@ class TestAssembleJoint:
         b = assemble_joint(marg, CorrelationMatrix([[1.0]]), np.array([-2.0]))
         np.testing.assert_array_equal(a.cov, b.cov)
         np.testing.assert_array_equal(a.cov, marg.block(0))
+
+    @pytest.mark.parametrize("agent", [-1, -3, 3, 4])
+    def test_block_rejects_the_agent_indices_marginalize_agent_rejects(self, agent):
+        marg = nondegenerate_marginals(np.random.default_rng(8), 3)
+        joint = assemble_joint(marg, CorrelationMatrix(np.eye(3)), np.zeros(3))
+        with pytest.raises(IndexError) as rejected:
+            marginalize_agent(joint, agent)
+        with pytest.raises(IndexError, match=f"^{re.escape(str(rejected.value))}$"):
+            marg.block(agent)
 
     def test_diagonal_blocks_bitwise_equal_marginals(self):
         rng = np.random.default_rng(6)

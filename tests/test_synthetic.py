@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from jointmotion import (
     wrap_angle,
     yaw_error_distribution,
 )
-from jointmotion.synthetic import PATTERNS, _geometry, _psd_factor, _walk
+from jointmotion.synthetic import CHUNK_BYTES, PATTERNS, _geometry, _psd_factor, _walk
 
 
 def final_step_increments(config, count):
@@ -202,6 +203,26 @@ def full_shape_walk(config, rng, factor, start, base_heading, first_step_index, 
     return positions, headings
 
 
+def chunk_walks(n_agents, steps, heading_noise):
+    """Walks per chunk of ``_walk``'s draws."""
+    depth = 2 if heading_noise else 1
+    return CHUNK_BYTES // (depth * steps * n_agents * 8)
+
+
+def sampling_peak_above_outputs(config, count):
+    """Bytes tracemalloc sees sampling allocate at its peak beyond what it
+    returns (the futures, yaws, current positions and truth)."""
+    sample_future_positions(config, 1)  # first-call allocations aside
+    tracemalloc.start()
+    try:
+        sampled = sample_future_positions(config, count)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del sampled
+    return peak - kept
+
+
 class TestFutureStream:
     @pytest.mark.parametrize("n_agents", [1, 3, 64])
     @pytest.mark.parametrize("heading_noise", [0.0, 0.1])
@@ -210,20 +231,51 @@ class TestFutureStream:
         self, n_agents, heading_noise, curvature, noise_sigma
     ):
         # without heading noise the vectors are computed once per family,
-        # with it once per walk; both are byte-equal to the reference
+        # with it once per walk; both are byte-equal to the reference, one
+        # draw of the full shape, on either side of each chunk boundary
         config = ScenarioConfig(
             pattern="mixed", n_agents=n_agents, noise_sigma=noise_sigma,
             curvature=curvature, heading_noise=heading_noise, seed=7,
         )
         factor = _psd_factor(correlation_for(config).rho)
         base_heading, start = _geometry(config, np.random.default_rng(1))
-        for count in (1, 33):
+        chunk = chunk_walks(n_agents, 12, heading_noise)
+        for count in (1, 33, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
             args = (factor, start, base_heading, 4, count, 12)
             got = _walk(config, np.random.default_rng(2), *args)
             want = full_shape_walk(config, np.random.default_rng(2), *args)
             for got_array, want_array in zip(got, want):
                 assert got_array.shape == want_array.shape
                 assert np.ascontiguousarray(got_array).tobytes() == want_array.tobytes()
+
+    def test_chunk_is_about_one_mebibyte_of_draws(self):
+        assert [chunk_walks(64, 12, h) for h in (0.0, 0.1)] == [170, 85]
+        assert chunk_walks(3, 12, 0.0) == 3640
+
+    @pytest.mark.parametrize("heading_noise", [0.0, 0.1])
+    def test_zero_futures_have_empty_full_shapes(self, heading_noise):
+        config = ScenarioConfig(pattern="mixed", n_agents=5, t_fut=7, heading_noise=heading_noise)
+        futures, yaws, current, _ = sample_future_positions(config, 0)
+        assert (futures.shape, yaws.shape, current.shape) == ((0, 5, 7, 2), (0, 5, 7), (5, 2))
+        scenes, _ = generate_scenes(config, 0)
+        assert scenes == []
+
+    @pytest.mark.parametrize("heading_noise", [0.0, 0.1])
+    def test_large_family_peak_is_its_outputs_plus_a_few_chunks(self, heading_noise):
+        # the large-scene shape: a full-size draw and its increments held
+        # beside the outputs would add 7.7 MiB, and with heading noise 22.7
+        config = ScenarioConfig(
+            pattern="mixed", n_agents=64, t_fut=12, target_rho=0.8, heading_noise=heading_noise
+        )
+        assert sampling_peak_above_outputs(config, 1280) <= 5 * 2**20
+
+    def test_one_chunk_family_peak_is_its_increments_plus_ufunc_buffers(self):
+        # the cli-pipeline shape fits one chunk: its draw is made into the
+        # positions and spent before they are written, so only the (K, T, N)
+        # increments and the multiply's two 64 KiB buffers come on top
+        config = ScenarioConfig(pattern="mixed", n_agents=8, t_fut=12, target_rho=0.8)
+        increments = 250 * 12 * 8 * 8
+        assert sampling_peak_above_outputs(config, 250) <= increments + 2**17 + 2**13
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -25,6 +25,7 @@ from jointmotion import (
     projected_marginals,
     project_increments,
     sample_joint,
+    tikhonov_regularize,
     trajectory_nll,
 )
 from jointmotion.fit import (
@@ -143,6 +144,27 @@ CHECKS = {
         lambda: trajectory_nll([joint2()], np.zeros((2, 2))),
         ValueError,
         "observations shape (2, 2) does not match 1 steps",
+    ),
+    "tikhonov_regularize-nan-delta": (
+        lambda: tikhonov_regularize(EYE2, float("nan")),
+        ValueError,
+        "delta must be finite, got nan",
+    ),
+    # inf * 0 would turn every off-diagonal entry into NaN, with a warning
+    "tikhonov_regularize-inf-delta": (
+        lambda: tikhonov_regularize(EYE2, float("inf")),
+        ValueError,
+        "delta must be finite, got inf",
+    ),
+    "Marginals-block-negative": (
+        lambda: marginals2().block(-1),
+        IndexError,
+        "agent index -1 out of range for 2 agents",
+    ),
+    "Marginals-block-past-end": (
+        lambda: marginals2().block(2),
+        IndexError,
+        "agent index 2 out of range for 2 agents",
     ),
     "sample_joint-count": (
         lambda: sample_joint(joint2(), 0, 0), ValueError, "count must be positive"

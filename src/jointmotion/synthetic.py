@@ -273,6 +273,7 @@ def _walk(
     else:  # one block for every walk, in place of the unwrapped headings
         headings = np.swapaxes(wrap_angle(headings), -1, -2)
         vectors = heading_vectors(headings)
+    # a past of one observed step walks zero steps, and draws nothing
     chunk = max(1, CHUNK_BYTES // max(1, depth * steps * n * 8))
     for first in range(0, count, chunk):
         out = positions[first : first + chunk]

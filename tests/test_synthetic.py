@@ -219,7 +219,6 @@ def sampling_peak_above_outputs(config, count):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    del sampled
     return peak - kept
 
 
@@ -272,7 +271,8 @@ class TestFutureStream:
     def test_one_chunk_family_peak_is_its_increments_plus_ufunc_buffers(self):
         # the cli-pipeline shape fits one chunk: its draw is made into the
         # positions and spent before they are written, so only the (K, T, N)
-        # increments and the multiply's two 64 KiB buffers come on top
+        # increments, the multiply's two 64 KiB buffers and 8 KiB for the
+        # small arrays come on top
         config = ScenarioConfig(pattern="mixed", n_agents=8, t_fut=12, target_rho=0.8)
         increments = 250 * 12 * 8 * 8
         assert sampling_peak_above_outputs(config, 250) <= increments + 2**17 + 2**13

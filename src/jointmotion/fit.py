@@ -195,7 +195,7 @@ class FitDataset:
         # not copied: K futures can outweigh everything else the fit holds;
         # the residual statistics below are checked for finiteness instead.
         # A read-only view, so the caller's array stays writable
-        self.futures = np.asarray(real_array(futures, "futures"), dtype=np.float64).view()
+        self.futures = real_array(futures, "futures").view()
         self.futures.setflags(write=False)
         if self.futures.ndim != 4 or self.futures.shape[1:] != (n, t_fut, 2):
             raise ValueError(
@@ -349,7 +349,7 @@ def _identity(n: int) -> np.ndarray:
 
 def _rho_stack(rho: np.ndarray, t_fut: Optional[int]) -> np.ndarray:
     """One (N, N) matrix shared by ``t_fut`` steps, or a (T, N, N) stack."""
-    rho = np.asarray(rho, dtype=np.float64)
+    rho = real_array(rho, "rho")
     if rho.ndim == 2:
         if t_fut is None:
             raise ValueError("t_fut required for a single shared matrix")
@@ -373,7 +373,7 @@ class DirectRhoParams:
     """
 
     def __init__(self, raw: np.ndarray, n_agents: int):
-        raw = np.asarray(raw, dtype=np.float64)
+        raw = real_array(raw, "raw")
         n_pairs = pair_count(n_agents)
         if raw.ndim != 2 or raw.shape[1] != n_pairs:
             raise ValueError(f"raw: expected (T, {n_pairs}), got {raw.shape}")
@@ -401,9 +401,7 @@ class DirectRhoParams:
         return self.raw.ravel().copy()
 
     def with_vector(self, vector: np.ndarray) -> "DirectRhoParams":
-        return type(self)(
-            np.asarray(vector, dtype=np.float64).reshape(self.raw.shape), self.n_agents
-        )
+        return type(self)(real_array(vector, "vector").reshape(self.raw.shape), self.n_agents)
 
     def _forward(self):
         """(T, N, N) correlations, and what :meth:`_raw_grad` needs of them."""
@@ -760,7 +758,7 @@ def finite_difference_gradient(
     """Central-difference gradient of a scalar function."""
     if step <= 0.0:
         raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "x")
     grad = np.zeros_like(x)
     for i in range(x.size):
         bumped = x.copy()
@@ -780,8 +778,8 @@ def relative_gradient_errors(
     The unit floor in the denominator keeps finite-difference roundoff
     on near-zero components from registering as spurious error.
     """
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
+    analytic = real_array(analytic, "analytic")
+    numeric = real_array(numeric, "numeric")
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return np.abs(analytic - numeric) / denom
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .scene import checked_array
+from .scene import checked_array, real_array
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
@@ -42,8 +42,7 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         )
 
 
-def _square(value, error: type) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
+def _square(arr: np.ndarray, error: type) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise error(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -57,7 +56,7 @@ def symmetric_matrix(value, name: str = "matrix", error: type = ValueError) -> n
     stays writable and unchanged. Where S + S^T overflows, the two entries
     passed the symmetry check and so are equal: the entry is kept as given.
     """
-    arr = _square(value, error)
+    arr = _square(real_array(value, name, error), error)
     peak = np.abs(arr).max(initial=0.0)  # NaN if any entry is NaN
     if not math.isfinite(peak):
         raise error(f"{name} contains non-finite values")
@@ -95,7 +94,7 @@ class JointGaussian:
         mean = checked_array(self.mean, "mean", (None,))
         if mean.size < 2 or mean.size % 2 != 0:
             raise ValueError(f"mean must have even length >= 2, got shape {mean.shape}")
-        cov = symmetric_matrix(self.cov)
+        cov = symmetric_matrix(self.cov, "cov")
         if cov.shape[0] != mean.size:
             raise ValueError(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
@@ -133,7 +132,7 @@ def tikhonov_regularize(cov: np.ndarray, delta: float) -> np.ndarray:
     A NaN or infinite ``delta`` raises ``ValueError``: it would reach the
     off-diagonal entries through ``delta * 0``.
     """
-    cov = _square(cov, ValueError)
+    cov = _square(real_array(cov, "cov"), ValueError)
     if not np.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
     if delta < 0.0:
@@ -149,7 +148,7 @@ def cholesky_factor(cov: np.ndarray) -> CholeskyFactor:
         ValueError: input that :func:`symmetric_matrix` rejects; what it
             accepts is factored as (S + S^T) / 2.
     """
-    cov = symmetric_matrix(cov)
+    cov = symmetric_matrix(cov, "cov")
     lower, info = dpotrf(cov, lower=1, clean=1)
     if info:  # the fixed arguments rule out info < 0 (an illegal argument)
         raise NotPositiveDefiniteError(info - 1)
@@ -190,7 +189,7 @@ def scene_nll(dist: JointGaussian, observation: np.ndarray) -> float:
         ValueError: the observation has the wrong shape, or it or its
             residual from the mean is not finite.
     """
-    observation = np.asarray(observation, dtype=np.float64)
+    observation = real_array(observation, "observation")
     if observation.shape != (dist.dim,):
         raise ValueError(
             f"observation shape {observation.shape} does not match dimension {dist.dim}"
@@ -212,7 +211,7 @@ def trajectory_nll(
     ``observations`` has shape (T, 2N). Terms are accumulated in step
     order so the result is reproducible bit-for-bit.
     """
-    observations = np.asarray(observations, dtype=np.float64)
+    observations = real_array(observations, "observations")
     if observations.ndim != 2 or observations.shape[0] != len(dists):
         raise ValueError(
             f"observations shape {observations.shape} does not match {len(dists)} steps"
@@ -248,4 +247,4 @@ def marginalize_agent(dist: JointGaussian, agent_index: int) -> JointGaussian:
 
 def min_eigenvalue(cov: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix (diagnostic helper)."""
-    return float(np.linalg.eigvalsh(np.asarray(cov, dtype=np.float64))[0])
+    return float(np.linalg.eigvalsh(real_array(cov, "cov"))[0])

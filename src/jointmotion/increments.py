@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .gaussian import JointGaussian, min_eigenvalue, symmetric_matrix
-from .scene import checked_array
+from .scene import checked_array, real_array
 
 
 class InvalidCorrelationError(ValueError):
@@ -39,14 +39,15 @@ class CorrelationMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = symmetric_matrix(self.rho, "correlation matrix", InvalidCorrelationError)
+        given = real_array(self.rho, "rho", InvalidCorrelationError)
+        rho = symmetric_matrix(given, "correlation matrix", InvalidCorrelationError)
         if not rho.size:
             raise InvalidCorrelationError("correlation matrix needs at least one agent")
         if np.abs(rho.diagonal() - 1.0).max() > 1e-12:
             raise InvalidCorrelationError("correlation matrix diagonal must be 1")
         # the entries as given: symmetrizing can pull one that lies within
         # 1e-12 of +-1 back into range
-        if np.abs(np.asarray(self.rho, dtype=np.float64)).max() > 1.0:
+        if np.abs(given).max() > 1.0:
             raise InvalidCorrelationError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "rho", rho)
 
@@ -155,7 +156,7 @@ class Marginals:
 
 def wrap_angle(angle):
     """Wrap angles to (-pi, pi]."""
-    wrapped = np.remainder(np.asarray(angle, dtype=np.float64) + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = np.remainder(real_array(angle, "angle") + np.pi, 2.0 * np.pi) - np.pi
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return float(wrapped) if np.ndim(angle) == 0 else wrapped
 
@@ -163,7 +164,7 @@ def wrap_angle(angle):
 def _as_correlation(corr: Union[CorrelationMatrix, np.ndarray]) -> CorrelationMatrix:
     if isinstance(corr, CorrelationMatrix):
         return corr
-    return CorrelationMatrix(np.asarray(corr))
+    return CorrelationMatrix(corr)
 
 
 def heading_vectors(theta, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -175,7 +176,7 @@ def heading_vectors(theta, out: Optional[np.ndarray] = None) -> np.ndarray:
     arrays makes on every per-step call: ``out`` when given, which must
     have that shape and not overlap ``theta``.
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = real_array(theta, "theta")
     if out is None:
         out = np.empty(theta.shape + (2,))
     np.cos(theta, out=out[..., 0])
@@ -202,8 +203,8 @@ def project_increments(
     factorization or sampling.
     """
     corr = _as_correlation(corr)
-    theta = np.asarray(theta, dtype=np.float64)
-    current = np.asarray(current, dtype=np.float64)
+    theta = real_array(theta, "theta")
+    current = real_array(current, "current")
     n = inc.n_agents
     if theta.shape != (n,):
         raise ValueError(f"theta: expected ({n},), got {theta.shape}")
@@ -256,7 +257,7 @@ def assemble_joint(
     result is not regularized; consumers add delta * I before inverting.
     """
     corr = _as_correlation(corr)
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = real_array(theta, "theta")
     n = marg.n_agents
     if theta.shape != (n,):
         raise ValueError(f"theta: expected ({n},), got {theta.shape}")
@@ -287,8 +288,8 @@ def projected_marginals(
     the means are the current positions advanced by the rotated mean
     displacement. The implied blocks are rank one.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    current = np.asarray(current, dtype=np.float64)
+    theta = real_array(theta, "theta")
+    current = real_array(current, "current")
     n = inc.n_agents
     if theta.shape != (n,):
         raise ValueError(f"theta: expected ({n},), got {theta.shape}")

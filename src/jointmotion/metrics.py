@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .scene import ModeSet
+from .scene import ModeSet, real_array
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class MetricResult:
 
 
 def _mode_array(pred: Union[ModeSet, np.ndarray], gt: np.ndarray):
-    modes = pred.modes if isinstance(pred, ModeSet) else np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
+    modes = pred.modes if isinstance(pred, ModeSet) else real_array(pred, "modes")
+    gt = real_array(gt, "ground truth")
     if modes.ndim != 4 or modes.shape[3] != 2:
         raise ValueError(f"modes: expected (M, N, T, 2), got {modes.shape}")
     if gt.shape != modes.shape[1:]:

@@ -22,6 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .scene import real_array
+
 
 class DegenerateFeatureError(ValueError):
     """A feature row has zero norm and admits no cosine similarity."""
@@ -51,7 +53,7 @@ class RelevanceHead:
         for name in self.__dataclass_fields__:
             arr = getattr(self, name)
             if type(arr) is not np.ndarray or arr.dtype != np.float64:
-                arr = np.asarray(arr, dtype=np.float64)
+                arr = real_array(arr, name)
                 setattr(self, name, arr)
             expected = (d,) if name.startswith("b_") else (d, d)
             if arr.shape != expected:
@@ -88,7 +90,7 @@ class RelevanceHead:
     @classmethod
     def unpack(cls, vector: np.ndarray, feature_dim: int) -> "RelevanceHead":
         """Inverse of :meth:`pack`."""
-        vector = np.asarray(vector, dtype=np.float64)
+        vector = real_array(vector, "vector")
         d = feature_dim
         square = d * d
         if vector.shape != (5 * square + 2 * d,):
@@ -118,6 +120,7 @@ def cosine_gram(features: np.ndarray):
     view of the fresh product. So the results are bit-identical to the
     wrapper's and the indexed assignment's.
     """
+    features = real_array(features, "features")
     norms = np.sqrt(np.add.reduce(features * features, axis=-1))
     if not norms.all():
         zero = np.argwhere(norms == 0.0)
@@ -141,7 +144,8 @@ def cosine_gram_backward(d_rho: np.ndarray, unit: np.ndarray, norms: np.ndarray)
     place in the product's own buffer, with the same operations in the
     same order as the out-of-place expression.
     """
-    d_rho = np.array(d_rho, dtype=np.float64, order="C")
+    d_rho = np.array(real_array(d_rho, "d_rho"), order="C")
+    unit, norms = real_array(unit, "unit"), real_array(norms, "norms")
     n = d_rho.shape[-1]
     d_rho.reshape(d_rho.shape[:-2] + (n * n,))[..., :: n + 1] = 0.0
     d_unit = (d_rho + d_rho.mT) @ unit
@@ -160,7 +164,7 @@ def relevance_forward_cached(features: np.ndarray, head: RelevanceHead):
     cache) where ``rho`` is the raw (N, N) similarity matrix with unit
     diagonal, or the (T, N, N) stack of them.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = real_array(features, "features")
     d = head.feature_dim
     if features.ndim not in (2, 3) or features.shape[-1] != d:
         raise ValueError(f"features: expected (N, {d}) or (T, N, {d}), got {features.shape}")

@@ -43,9 +43,9 @@ class SceneArrayError(SceneShapeError, NonFiniteError):
 
 
 def real_array(value, name: str, error: type = ValueError) -> np.ndarray:
-    """``value`` as an array (``value`` itself if it is one), checked to
-    hold entries that convert to float64 as numbers: the one dtype rule
-    for every array the library takes.
+    """``value`` as a float64 array, checked to hold entries that convert to
+    float64 as numbers: the one intake for every array argument the library
+    takes. A float64 array is returned as itself, not copied.
 
     Raises:
         error: ``value`` holds complex, datetime, timedelta or string
@@ -55,12 +55,12 @@ def real_array(value, name: str, error: type = ValueError) -> np.ndarray:
     arr = np.asarray(value)
     if arr.dtype.kind in "cmMSU":
         raise error(f"{name} must hold real numbers, not {arr.dtype}")
-    return arr
+    return np.asarray(arr, dtype=np.float64)
 
 
 def checked_array(value, name: str, shape: tuple, error: type = ValueError) -> np.ndarray:
-    """A read-only float64 copy of ``value``: how every value type stores
-    its arrays. The copy leaves the caller's array writable and unchanged.
+    """A read-only float64 copy of what :func:`real_array` takes in: how every
+    value type stores its arrays. The caller's array stays writable, unchanged.
 
     ``shape`` gives each dimension's length, or None where any length is
     allowed.
@@ -69,7 +69,7 @@ def checked_array(value, name: str, shape: tuple, error: type = ValueError) -> n
         error: ``value`` fails :func:`real_array`'s dtype rule, the shape
             differs, or an entry is NaN or infinite.
     """
-    arr = np.array(real_array(value, name, error), dtype=np.float64)
+    arr = np.array(real_array(value, name, error))
     if arr.shape != shape and (
         arr.ndim != len(shape)
         or any(want is not None and got != want for got, want in zip(arr.shape, shape))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .increments import CorrelationMatrix, IncrementParams, InvalidCorrelationError
 from .increments import heading_vectors, wrap_angle
-from .scene import Scene, check_numbers, checked_array, json_array, json_fields
+from .scene import Scene, check_numbers, checked_array, json_array, json_fields, real_array
 
 PATTERNS = ("follow", "yield", "independent", "mixed")
 
@@ -372,8 +372,8 @@ def increments_from_positions(
     ``positions`` is (..., N, 2); returns (..., N) projections of the
     displacement from ``current`` onto the heading unit vectors.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    current = np.asarray(current, dtype=np.float64)
+    positions = real_array(positions, "positions")
+    current = real_array(current, "current")
     return np.sum((positions - current) * heading_vectors(theta), axis=-1)
 
 
@@ -383,7 +383,7 @@ def empirical_increment_pcc(samples: np.ndarray) -> CorrelationMatrix:
     The brute-force estimator used to validate reconstructed
     correlations; kept deliberately plain.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = real_array(samples, "samples")
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError(f"expected (K >= 2, N) samples, got {samples.shape}")
     centered = samples - samples.mean(axis=0)

@@ -76,6 +76,24 @@ def referenced_names(path):
     return set(visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), frozenset()))
 
 
+def dtype_conversions(path):
+    """(line, call) for each ``np.asarray``, ``np.array`` or
+    ``np.asanyarray`` call in ``path`` that passes a dtype, by keyword or
+    as its second positional argument."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and node.func.attr in ("asarray", "array", "asanyarray")
+        ):
+            continue
+        if len(node.args) > 1 or any(keyword.arg == "dtype" for keyword in node.keywords):
+            yield node.lineno, f"np.{node.func.attr}"
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "scene.py", "fit.py"}
 
@@ -143,3 +161,33 @@ def test_definition_rule_sees_module_level_names_only(tmp_path):
         "    attribute = 2\n"
     )
     assert list(defined_names(source)) == ["A", "B", "C", "D", "E", "f", "K"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "scene.py"],
+    ids=[p.name for p in MODULES if p.name != "scene.py"],
+)
+def test_no_array_conversion_outside_real_array(path):
+    # every array argument is taken in by scene.real_array, the one dtype rule
+    assert list(dtype_conversions(path)) == []
+
+
+def test_conversion_rule_sees_dtype_by_keyword_or_position(tmp_path):
+    source = tmp_path / "example.py"
+    source.write_text(
+        "a = np.asarray(x, dtype=np.float64)\n"
+        "b = np.array(x, np.float64)\n"
+        "c = np.asanyarray(x, dtype=float)\n"
+        "d = np.asarray(real_array(x, 'x'), dtype=np.float64).view()\n"
+        "e = np.asarray(x)\n"
+        "f = np.array(x, order='C')\n"
+        "g = np.zeros(3, dtype=np.float64)\n"
+        "h = x.astype(np.float64)\n"
+    )
+    assert list(dtype_conversions(source)) == [
+        (1, "np.asarray"),
+        (2, "np.array"),
+        (3, "np.asanyarray"),
+        (4, "np.asarray"),
+    ]

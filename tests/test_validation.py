@@ -21,26 +21,47 @@ from jointmotion import (
     SceneFormatError,
     SceneShapeError,
     assemble_joint,
+    cholesky_factor,
     correlation_for,
+    empirical_increment_pcc,
+    heading_vectors,
+    increments_from_positions,
+    min_eigenvalue,
+    min_joint_ade,
+    min_joint_fde,
     projected_marginals,
     project_increments,
     sample_joint,
+    scene_nll,
     tikhonov_regularize,
     trajectory_nll,
+    wrap_angle,
 )
 from jointmotion.fit import (
     DirectRhoParams,
     FitConfig,
     FitDataset,
+    UnitRowRhoParams,
     finite_difference_gradient,
+    relative_gradient_errors,
 )
-from jointmotion.relevance import RelevanceHead, relevance_forward_cached
+from jointmotion.gaussian import symmetric_matrix
+from jointmotion.relevance import (
+    RelevanceHead,
+    cosine_gram,
+    cosine_gram_backward,
+    relevance_forward_cached,
+)
 from jointmotion.scene import checked_array, json_array, scene_from_dict
 
 EYE2 = np.eye(2)
 EYE3 = np.eye(3)
 THETA2 = np.array([0.3, -1.2])
 CURRENT2 = np.array([[0.0, 1.0], [2.0, -1.0]])
+# arrays of each dtype kind that real_array rejects
+STRING_EYE2 = np.array([["1", "0"], ["0", "1"]])
+DATES2 = np.array(["2020-01-02", "2020-01-03"], dtype="datetime64[D]")
+SECONDS_EYE2 = np.array([[1, 0], [0, 1]], dtype="timedelta64[s]")
 
 
 def increments2():
@@ -315,6 +336,155 @@ CHECKS = {
         lambda: correlation_for(ScenarioConfig("follow", 2, target_rho=EYE3)),
         InvalidCorrelationError,
         "target_rho matrix must be (2, 2), got (3, 3)",
+    ),
+    "JointGaussian-asymmetric-cov": (
+        lambda: JointGaussian(mean=np.zeros(2), cov=[[1.0, 0.5], [0.0, 1.0]]),
+        ValueError,
+        "cov is not symmetric (max asymmetry 5.000e-01)",
+    ),
+    "cholesky_factor-non-finite": (
+        lambda: cholesky_factor(np.full((2, 2), np.inf)),
+        ValueError,
+        "cov contains non-finite values",
+    ),
+    # every array argument goes through real_array, which names it
+    "JointGaussian-complex-cov": (
+        lambda: JointGaussian(mean=np.zeros(2), cov=EYE2 + 0.5j),
+        ValueError,
+        "cov must hold real numbers, not complex128",
+    ),
+    "CorrelationMatrix-string": (
+        lambda: CorrelationMatrix(STRING_EYE2),
+        InvalidCorrelationError,
+        "rho must hold real numbers, not <U1",
+    ),
+    "symmetric_matrix-datetime64": (
+        lambda: symmetric_matrix(np.zeros((2, 2), dtype="datetime64[D]")),
+        ValueError,
+        "matrix must hold real numbers, not datetime64[D]",
+    ),
+    "cholesky_factor-timedelta64": (
+        lambda: cholesky_factor(SECONDS_EYE2),
+        ValueError,
+        "cov must hold real numbers, not timedelta64[s]",
+    ),
+    "tikhonov_regularize-complex": (
+        lambda: tikhonov_regularize(EYE2 + 0.5j, 0.1),
+        ValueError,
+        "cov must hold real numbers, not complex128",
+    ),
+    "min_eigenvalue-string": (
+        lambda: min_eigenvalue(STRING_EYE2), ValueError, "cov must hold real numbers, not <U1"
+    ),
+    "scene_nll-complex": (
+        lambda: scene_nll(joint2(), np.array([0.0, 1.0j])),
+        ValueError,
+        "observation must hold real numbers, not complex128",
+    ),
+    "trajectory_nll-string": (
+        lambda: trajectory_nll([joint2()], np.array([["0", "1"]])),
+        ValueError,
+        "observations must hold real numbers, not <U1",
+    ),
+    "project_increments-complex-theta": (
+        lambda: project_increments(increments2(), EYE2, THETA2 + 0.5j, CURRENT2),
+        ValueError,
+        "theta must hold real numbers, not complex128",
+    ),
+    "projected_marginals-timedelta64-current": (
+        lambda: projected_marginals(increments2(), THETA2, SECONDS_EYE2),
+        ValueError,
+        "current must hold real numbers, not timedelta64[s]",
+    ),
+    "assemble_joint-datetime64-theta": (
+        lambda: assemble_joint(marginals2(), EYE2, DATES2),
+        ValueError,
+        "theta must hold real numbers, not datetime64[D]",
+    ),
+    "heading_vectors-string": (
+        lambda: heading_vectors(np.array(["0.5", "1"])),
+        ValueError,
+        "theta must hold real numbers, not <U3",
+    ),
+    "wrap_angle-timedelta64": (
+        lambda: wrap_angle(np.array([3, 4], dtype="timedelta64[s]")),
+        ValueError,
+        "angle must hold real numbers, not timedelta64[s]",
+    ),
+    "min_joint_ade-complex-modes": (
+        lambda: min_joint_ade(np.zeros((1, 1, 1, 2)) + 0.5j, np.zeros((1, 1, 2))),
+        ValueError,
+        "modes must hold real numbers, not complex128",
+    ),
+    "min_joint_fde-string-ground-truth": (
+        lambda: min_joint_fde(np.zeros((1, 1, 1, 2)), np.array([[["0", "1"]]])),
+        ValueError,
+        "ground truth must hold real numbers, not <U1",
+    ),
+    "increments_from_positions-datetime64": (
+        lambda: increments_from_positions(np.zeros((2, 2), dtype="datetime64[D]"), CURRENT2, THETA2),
+        ValueError,
+        "positions must hold real numbers, not datetime64[D]",
+    ),
+    "empirical_increment_pcc-complex": (
+        lambda: empirical_increment_pcc(np.array([[0.0, 1.0], [1.0, 0.5j]])),
+        ValueError,
+        "samples must hold real numbers, not complex128",
+    ),
+    "DirectRhoParams-string-raw": (
+        lambda: DirectRhoParams(np.array([["0.5"]]), 2),
+        ValueError,
+        "raw must hold real numbers, not <U3",
+    ),
+    "DirectRhoParams-from_rho-complex": (
+        lambda: DirectRhoParams.from_rho(EYE2 + 0.5j, t_fut=1),
+        ValueError,
+        "rho must hold real numbers, not complex128",
+    ),
+    "UnitRowRhoParams-from_rho-timedelta64": (
+        lambda: UnitRowRhoParams.from_rho(SECONDS_EYE2, t_fut=1),
+        ValueError,
+        "rho must hold real numbers, not timedelta64[s]",
+    ),
+    "DirectRhoParams-with_vector-string": (
+        lambda: DirectRhoParams.zeros(1, 2).with_vector(np.array(["0.5"])),
+        ValueError,
+        "vector must hold real numbers, not <U3",
+    ),
+    "finite_difference_gradient-complex": (
+        lambda: finite_difference_gradient(np.sum, np.array([0.0, 0.5j]), 1e-6),
+        ValueError,
+        "x must hold real numbers, not complex128",
+    ),
+    "relative_gradient_errors-datetime64": (
+        lambda: relative_gradient_errors(np.zeros(2), DATES2),
+        ValueError,
+        "numeric must hold real numbers, not datetime64[D]",
+    ),
+    "RelevanceHead-timedelta64": (
+        lambda: RelevanceHead(
+            **{**vars(RelevanceHead.initialize(2, 0)), "w_key": SECONDS_EYE2}
+        ),
+        ValueError,
+        "w_key must hold real numbers, not timedelta64[s]",
+    ),
+    "RelevanceHead-unpack-complex": (
+        lambda: RelevanceHead.unpack(np.zeros(24) + 0.5j, 2),
+        ValueError,
+        "vector must hold real numbers, not complex128",
+    ),
+    "relevance_forward_cached-string": (
+        lambda: relevance_forward_cached(STRING_EYE2, RelevanceHead.initialize(2, 0)),
+        ValueError,
+        "features must hold real numbers, not <U1",
+    ),
+    "cosine_gram-complex": (
+        lambda: cosine_gram(EYE2 + 0.5j), ValueError, "features must hold real numbers, not complex128"
+    ),
+    "cosine_gram_backward-datetime64": (
+        lambda: cosine_gram_backward(np.zeros((2, 2), dtype="datetime64[D]"), EYE2, np.ones(2)),
+        ValueError,
+        "d_rho must hold real numbers, not datetime64[D]",
     ),
 }
 

@@ -1,6 +1,6 @@
 """The array contract every value type keeps: it stores read-only float64
-copies, so the caller's arrays stay its own, and it rejects a NaN entry or
-a wrong shape with its own exception class."""
+copies, so the caller's arrays stay its own, and it rejects a NaN entry, a
+wrong shape or a complex entry with its own exception class."""
 
 import re
 import sys
@@ -22,6 +22,7 @@ from jointmotion import (
     SceneShapeError,
     SceneTruth,
 )
+from jointmotion.scene import SceneArrayError
 
 
 def scene_truth(rho, mu_delta, sigma_delta):
@@ -34,7 +35,7 @@ def marginal_arrays():
 
 
 # name: (constructor, fresh valid arrays, the field made NaN,
-#        class for a NaN entry, class for a wrong shape)
+#        class for a NaN entry, class for a wrong shape, class for a complex entry)
 CONTRACTS = {
     "Scene": (
         Scene,
@@ -46,6 +47,7 @@ CONTRACTS = {
         "future",
         NonFiniteError,
         SceneShapeError,
+        SceneArrayError,
     ),
     "ModeSet": (
         ModeSet,
@@ -53,11 +55,13 @@ CONTRACTS = {
         "scores",
         NonFiniteError,
         SceneShapeError,
+        SceneArrayError,
     ),
     "CorrelationMatrix": (
         CorrelationMatrix,
         lambda: {"rho": np.array([[1.0, 0.5], [0.5, 1.0]])},
         "rho",
+        InvalidCorrelationError,
         InvalidCorrelationError,
         InvalidCorrelationError,
     ),
@@ -67,12 +71,14 @@ CONTRACTS = {
         "sigma",
         ValueError,
         ValueError,
+        ValueError,
     ),
-    "Marginals": (Marginals, marginal_arrays, "rho_xy", ValueError, ValueError),
+    "Marginals": (Marginals, marginal_arrays, "rho_xy", ValueError, ValueError, ValueError),
     "JointGaussian": (
         JointGaussian,
         lambda: {"mean": np.array([1.0, 2.0]), "cov": np.array([[2.0, 0.5], [0.5, 1.0]])},
         "cov",
+        ValueError,
         ValueError,
         ValueError,
     ),
@@ -84,6 +90,7 @@ CONTRACTS = {
             "sigma_delta": np.array([[0.5, 0.5], [0.75, 0.75]]),
         },
         "mu_delta",
+        ValueError,
         ValueError,
         ValueError,
     ),
@@ -102,7 +109,7 @@ def stored_arrays(value):
 
 @pytest.mark.parametrize("name", list(CONTRACTS))
 def test_value_type_array_contract(name):
-    build, arrays, nan_field, nan_error, shape_error = CONTRACTS[name]
+    build, arrays, nan_field, nan_error, shape_error, dtype_error = CONTRACTS[name]
 
     given = arrays()
     before = {key: arr.copy() for key, arr in given.items()}
@@ -130,6 +137,13 @@ def test_value_type_array_contract(name):
         bad = arrays()
         bad[key] = np.stack([bad[key], bad[key]])
         with pytest.raises(shape_error):
+            build(**bad)
+
+    for key in arrays():
+        bad = arrays()
+        bad[key] = bad[key] + 0j
+        bad[key][(0,) * bad[key].ndim] += 0.5j
+        with pytest.raises(dtype_error, match=f"^{key} must hold real numbers, not complex128$"):
             build(**bad)
 
 
